@@ -105,6 +105,102 @@ def cc_core_factory(config: CCConfig, inputs: np.ndarray, traces):
     return factory
 
 
+@dataclass
+class PreparedRun:
+    """One run's configuration, traced cores and recovery factory.
+
+    Shared by every entry point that runs Algorithm CC or BCC on inputs:
+    :func:`run_convex_hull_consensus`, the lockstep runtime and the
+    asyncio runtime differ only in how they drive :attr:`cores`.
+    """
+
+    config: CCConfig
+    plan: FaultPlan
+    traces: list[ProcessTrace]
+    cores: list
+    core_factory: object
+
+    def result(
+        self, report: SimulationReport, *, seed: int, scheduler_name: str
+    ) -> CCResult:
+        """Package a finished run's report with its execution trace."""
+        config = self.config
+        trace = ExecutionTrace(
+            n=config.n,
+            f=config.f,
+            dim=config.dim,
+            eps=config.eps,
+            t_end=config.t_end,
+            fault_plan=self.plan,
+            seed=seed,
+            scheduler_name=scheduler_name,
+            processes=self.traces,
+            messages_sent=report.messages_sent,
+            messages_delivered=report.messages_delivered,
+            delivery_steps=report.delivery_steps,
+        )
+        return CCResult(config=config, trace=trace, report=report)
+
+
+def prepare_run(
+    inputs,
+    f: int,
+    eps: float,
+    *,
+    fault_plan: FaultPlan | None = None,
+    input_bounds: tuple[float, float] | None = None,
+    enforce_resilience: bool = True,
+    algorithm: str = "cc",
+) -> PreparedRun:
+    """Validate a run's parameters and build its traced cores.
+
+    Raises ``ValueError`` for an unknown algorithm, a BCC run with
+    crash-recovery, or a Byzantine plan beyond the configured tolerance.
+    """
+    if algorithm not in ("cc", "bcc"):
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected 'cc' or 'bcc'")
+    pts = as_points_array(inputs)
+    plan = fault_plan or FaultPlan.none()
+    if algorithm == "bcc" and plan.recoveries:
+        raise ValueError(
+            "algorithm='bcc' does not support crash-recovery plans: a "
+            "restarted process cannot re-join its reliable-broadcast "
+            "instances (echoes are one-shot per tag)"
+        )
+    config = build_config(
+        pts,
+        f,
+        eps,
+        input_bounds=input_bounds,
+        enforce_resilience=enforce_resilience,
+        fault_model="byzantine" if algorithm == "bcc" else "crash",
+    )
+    if plan.byzantine and enforce_resilience:
+        # The bound-aware coherence check (satellite of the Byzantine
+        # axis): at most f Byzantine pids, and for BCC an n at or above
+        # the Byzantine bound.  CC runs check only the count — probing
+        # CC below the Byzantine bound *is* the bound-gap experiment.
+        plan.validate(
+            config.n,
+            dim=config.dim if algorithm == "bcc" else None,
+            f=config.f,
+        )
+    traces = [
+        ProcessTrace(pid=i, input_point=pts[i].copy()) for i in range(config.n)
+    ]
+    core_cls = BCCProcess if algorithm == "bcc" else CCProcess
+    cores = [
+        core_cls(pid=i, config=config, input_point=pts[i], trace=traces[i])
+        for i in range(config.n)
+    ]
+    factory = (
+        cc_core_factory(config, pts, traces) if plan.recoveries else None
+    )
+    return PreparedRun(
+        config=config, plan=plan, traces=traces, cores=cores, core_factory=factory
+    )
+
+
 def run_convex_hull_consensus(
     inputs,
     f: int,
@@ -179,75 +275,29 @@ def run_convex_hull_consensus(
     :class:`~repro.core.algorithm_cc.EmptyInitialPolytopeError` if the
     round-0 intersection is empty (possible only below the bound).
     """
-    if algorithm not in ("cc", "bcc"):
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected 'cc' or 'bcc'")
-    pts = as_points_array(inputs)
-    plan = fault_plan or FaultPlan.none()
-    if algorithm == "bcc" and plan.recoveries:
-        raise ValueError(
-            "algorithm='bcc' does not support crash-recovery plans: a "
-            "restarted process cannot re-join its reliable-broadcast "
-            "instances (echoes are one-shot per tag)"
-        )
-    config = build_config(
-        pts,
+    run = prepare_run(
+        inputs,
         f,
         eps,
+        fault_plan=fault_plan,
         input_bounds=input_bounds,
         enforce_resilience=enforce_resilience,
-        fault_model="byzantine" if algorithm == "bcc" else "crash",
+        algorithm=algorithm,
     )
-    if plan.byzantine and enforce_resilience:
-        # The bound-aware coherence check (satellite of the Byzantine
-        # axis): at most f Byzantine pids, and for BCC an n at or above
-        # the Byzantine bound.  CC runs check only the count — probing
-        # CC below the Byzantine bound *is* the bound-gap experiment.
-        plan.validate(
-            config.n,
-            dim=config.dim if algorithm == "bcc" else None,
-            f=config.f,
-        )
     sched = scheduler or default_scheduler(seed=seed)
     sched.reset()
-
-    traces = [
-        ProcessTrace(pid=i, input_point=pts[i].copy()) for i in range(config.n)
-    ]
-    core_cls = BCCProcess if algorithm == "bcc" else CCProcess
-    cores = [
-        core_cls(pid=i, config=config, input_point=pts[i], trace=traces[i])
-        for i in range(config.n)
-    ]
     on_deliver = None
     if observer is not None:
-        observer.bind(traces, plan, config)
+        observer.bind(run.traces, run.plan, run.config)
         on_deliver = observer.poll
-    factory = (
-        cc_core_factory(config, pts, traces) if plan.recoveries else None
-    )
     report = run_simulation(
-        cores,
-        fault_plan=plan,
+        run.cores,
+        fault_plan=run.plan,
         scheduler=sched,
         on_deliver=on_deliver,
         link_faults=link_faults,
         reliable_transport=reliable_transport,
         checkpoint_store=checkpoint_store,
-        core_factory=factory,
+        core_factory=run.core_factory,
     )
-
-    trace = ExecutionTrace(
-        n=config.n,
-        f=config.f,
-        dim=config.dim,
-        eps=config.eps,
-        t_end=config.t_end,
-        fault_plan=plan,
-        seed=seed,
-        scheduler_name=type(sched).__name__,
-        processes=traces,
-        messages_sent=report.messages_sent,
-        messages_delivered=report.messages_delivered,
-        delivery_steps=report.delivery_steps,
-    )
-    return CCResult(config=config, trace=trace, report=report)
+    return run.result(report, seed=seed, scheduler_name=type(sched).__name__)

@@ -13,154 +13,76 @@ determinism cross-check (no randomness at all), and a third runtime to
 demonstrate core/runtime independence alongside the discrete-event and
 asyncio drivers.
 
-Fault plans work unchanged — a crash spec is executed by the shell, and a
+The waves are a delivery source for the simulator's loop, so fault plans
+work unchanged — a crash spec is executed by the shell, and a
 mid-broadcast prefix in lockstep is exactly the paper's "some round-t
-messages sent" case.
+messages sent" case; revivals follow the loop's per-delivery
+``recover_at`` rule.
 """
 
 from __future__ import annotations
 
-from ..geometry.cache import PERF
+from collections import deque
+
 from .faults import FaultPlan
+from .messages import Envelope
 from .network import Network
-from .process import ProcessShell, ProtocolCore
-from .simulator import SimulationError, SimulationReport
+from .process import ProtocolCore
+from .simulator import SimulationReport, _default_max_steps, _drive
+
+
+class _WaveNetwork(Network):
+    """The structural network, delivered in synchronous waves.
+
+    A wave snapshots every ready channel with its current depth, then
+    drains the channels in (src, dst) order to exactly that depth before
+    anything sent during the wave is considered.  A channel whose
+    receiver is down when the wave reaches it is skipped.
+    """
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self._wave: deque[tuple[tuple[int, int], int]] = deque()
+
+    def next(self, sched=None) -> Envelope | None:
+        while True:
+            while self._wave:
+                key, left = self._wave.popleft()
+                if key[1] in self._crashed_dst:
+                    continue
+                if left > 1:
+                    self._wave.appendleft((key, left - 1))
+                return self.deliver(self._channels[key].head)
+            if not self._ready:
+                return None
+            self._wave.extend(
+                (key, self._channels[key].depth) for key in self._ready_sorted
+            )
 
 
 def run_lockstep_simulation(
     cores: list[ProtocolCore],
     fault_plan: FaultPlan | None = None,
     *,
-    max_phases: int | None = None,
     require_all_fault_free_decide: bool = True,
     checkpoint_store=None,
     core_factory=None,
 ) -> SimulationReport:
-    """Drive the cores in synchronous delivery phases.
+    """Drive the cores in synchronous delivery waves.
 
-    Each phase snapshots the set of pending envelopes and delivers all of
-    them (in (src, dst, seq) order) before considering messages sent
-    during the phase.  Mirrors :func:`repro.runtime.simulator.run_simulation`'s
-    contract and report format, including the crash-recovery extension
-    (``checkpoint_store`` / ``core_factory``; revivals fire between
-    phases once their ``recover_at`` delivery step has passed).
+    Mirrors :func:`repro.runtime.simulator.run_simulation`'s contract and
+    report format, including the crash-recovery extension
+    (``checkpoint_store`` / ``core_factory``).
     """
-    n = len(cores)
-    plan = (fault_plan or FaultPlan.none()).validate(n)
-    network = Network(n)
-    from .recovery import RecoveryManager, make_recovery_setup
-
-    store = make_recovery_setup(plan, checkpoint_store, core_factory)
-    from .byzantine import byzantine_engines
-
-    engines = byzantine_engines(plan, n)
-    shells = [
-        ProcessShell(
-            core,
-            network,
-            crash_spec=plan.crash_spec(core.pid),
-            checkpoint_store=store,
-            byzantine=engines.get(core.pid),
-        )
-        for core in cores
-    ]
-    manager = (
-        RecoveryManager(plan, shells, core_factory=core_factory, store=store)
-        if plan.recoveries
-        else None
-    )
-    if max_phases is None:
-        # Stable vector quiesces in O(n) phases; each protocol round takes
-        # O(1) phases in lockstep.  The constant is a defensive margin.
-        t_end = max(
-            (getattr(core, "config", None).t_end
-             for core in cores
-             if getattr(core, "config", None) is not None),
-            default=10,
-        )
-        max_phases = 10 * (n + t_end) + 100
-
-    perf_before = PERF.snapshot()
-    noted: set[int] = set()
-
-    def note_crashes(step: int) -> None:
-        if manager is None:
-            return
-        for shell in shells:
-            if shell.crashed and shell.pid not in noted:
-                noted.add(shell.pid)
-                manager.note_crash(shell, step)
-
-    for shell in shells:
-        shell.start()
-    note_crashes(0)
-
-    steps = 0
-    phases = 0
-    while True:
-        alive = {shell.pid for shell in shells if shell.alive}
-        heads = network.pending_heads(alive)
-        if not heads:
-            if manager is not None and manager.has_pending:
-                # Quiescence with revivals pending: fire the earliest one
-                # now (the quiescence rule), then resume phasing.
-                manager.revive(manager.pop_earliest(), steps)
-                continue
-            break
-        phases += 1
-        if phases > max_phases:
-            raise SimulationError(
-                f"lockstep run did not quiesce within {max_phases} phases"
-            )
-        # Deliver the full current wave, draining each involved channel to
-        # the depth it had at the snapshot (FIFO order within channels,
-        # global (src, dst) order across them).
-        wave = {
-            (env.src, env.dst): network.channel_depth(env.src, env.dst)
-            for env in heads
-        }
-        for (src, dst) in sorted(wave):
-            for _ in range(wave[(src, dst)]):
-                if not shells[dst].alive:
-                    break
-                env = network.head_of(src, dst)
-                if env is None:
-                    break
-                network.deliver(env)
-                shells[dst].receive(env.payload, env.src)
-                steps += 1
-        note_crashes(steps)
-        if manager is not None:
-            # Revivals fire between phases — a restarted process joins
-            # the next wave, the most synchronous reading of recover_at.
-            for pid in manager.due(steps):
-                manager.revive(pid, steps)
-
-    decided = [s.pid for s in shells if s.done]
-    crashed = [s.pid for s in shells if s.crashed]
-    undecided_alive = [
-        s.pid for s in shells
-        if s.alive and not s.done and not s.ever_crashed
-        and s.pid not in plan.byzantine
-    ]
-    if require_all_fault_free_decide and undecided_alive:
-        raise SimulationError(
-            f"non-crashed processes ended undecided: {undecided_alive}"
-        )
-    for shell in shells:
-        trace = getattr(shell.core, "trace", None)
-        if trace is not None:
-            trace.sends_in_round = dict(shell.protocol_sends)
-            trace.crash_fired_round = shell.crash_fired_round
-    return SimulationReport(
-        delivery_steps=steps,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        decided=decided,
-        crashed=crashed,
-        undecided_alive=undecided_alive,
-        perf_counters=PERF.diff(perf_before),
-        recovered=list(manager.revived) if manager is not None else [],
+    return _drive(
+        cores,
+        fault_plan,
+        _WaveNetwork(len(cores)),
+        None,
+        max_steps=_default_max_steps(len(cores)),
+        require_all_fault_free_decide=require_all_fault_free_decide,
+        checkpoint_store=checkpoint_store,
+        core_factory=core_factory,
     )
 
 
@@ -175,55 +97,18 @@ def run_lockstep_consensus(
     algorithm: str = "cc",
 ):
     """Full Algorithm CC (or BCC) run in lockstep; returns a CCResult."""
-    import numpy as np
+    from ..core.runner import prepare_run
 
-    from ..core.algorithm_bcc import BCCProcess
-    from ..core.algorithm_cc import CCProcess
-    from ..core.runner import CCResult, build_config, cc_core_factory
-    from .tracing import ExecutionTrace, ProcessTrace
-
-    if algorithm not in ("cc", "bcc"):
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected 'cc' or 'bcc'")
-    arr = np.asarray(inputs, dtype=float)
-    plan = fault_plan or FaultPlan.none()
-    if algorithm == "bcc" and plan.recoveries:
-        raise ValueError("algorithm='bcc' does not support crash-recovery plans")
-    config = build_config(
-        arr,
-        f,
-        eps,
+    run = prepare_run(
+        inputs, f, eps,
+        fault_plan=fault_plan,
         input_bounds=input_bounds,
-        fault_model="byzantine" if algorithm == "bcc" else "crash",
-    )
-    traces = [
-        ProcessTrace(pid=i, input_point=arr[i].copy()) for i in range(config.n)
-    ]
-    core_cls = BCCProcess if algorithm == "bcc" else CCProcess
-    cores = [
-        core_cls(pid=i, config=config, input_point=arr[i], trace=traces[i])
-        for i in range(config.n)
-    ]
-    factory = (
-        cc_core_factory(config, arr, traces) if plan.recoveries else None
+        algorithm=algorithm,
     )
     report = run_lockstep_simulation(
-        cores,
-        fault_plan=plan,
+        run.cores,
+        fault_plan=run.plan,
         checkpoint_store=checkpoint_store,
-        core_factory=factory,
+        core_factory=run.core_factory,
     )
-    trace = ExecutionTrace(
-        n=config.n,
-        f=config.f,
-        dim=config.dim,
-        eps=config.eps,
-        t_end=config.t_end,
-        fault_plan=plan,
-        seed=0,
-        scheduler_name="lockstep",
-        processes=traces,
-        messages_sent=report.messages_sent,
-        messages_delivered=report.messages_delivered,
-        delivery_steps=report.delivery_steps,
-    )
-    return CCResult(config=config, trace=trace, report=report)
+    return run.result(report, seed=0, scheduler_name="lockstep")

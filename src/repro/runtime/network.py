@@ -13,8 +13,8 @@ Delivery-candidate bookkeeping is *incremental*: the network maintains the
 set of channels that are non-empty, and — once destinations are registered
 as crashed via :meth:`mark_crashed` — the subset of those whose head is
 actually deliverable, as a set *and* as a lexicographically sorted key
-list (``bisect``-maintained, O(log k) search + memmove per update).  The
-simulator's hot loop therefore asks for :meth:`ready_view` — a **lazy**
+list (``bisect``-maintained, O(log k) search + memmove per update).  Each
+delivery step (:meth:`next`) therefore asks for :meth:`ready_view` — a **lazy**
 sequence over the sorted ready keys that resolves a channel head only
 when indexed — instead of re-sorting and materializing all ~``n^2`` heads
 per delivery.  For the default uniform scheduler (which looks at
@@ -74,7 +74,16 @@ class ReadyHeadsView(Sequence):
 
 
 class Network:
-    """All n*(n-1) directed channels plus delivery statistics."""
+    """All n*(n-1) directed channels plus delivery statistics.
+
+    Also the simulator's structural delivery source (see
+    :mod:`repro.runtime.simulator`).  Queued messages survive a restart in
+    their channels, so there is no channel state to checkpoint, and the
+    scheduler's decisions already are the application schedule.
+    """
+
+    checkpoint_store = None
+    app_deliveries: tuple[tuple[int, int], ...] = ()
 
     def __init__(self, n: int):
         if n < 1:
@@ -107,12 +116,14 @@ class Network:
             insort(self._ready_sorted, key)
         self.messages_sent += 1
 
-    def mark_crashed(self, dst: int) -> None:
+    def mark_crashed(self, dst: int, recovering: bool = False) -> None:
         """Register ``dst`` as crashed: its inbound heads stop being ready.
 
         Messages addressed to it stay queued (reliability) but are no
         longer offered to the scheduler — delivering them would be a
         no-op, and excluding them keeps termination detection simple.
+        Whether ``dst`` is ``recovering`` changes nothing here: its queued
+        messages wait in their channels either way.
         """
         if dst in self._crashed_dst:
             return
@@ -124,22 +135,23 @@ class Network:
             key for key in self._ready_sorted if key[1] != dst
         ]
 
-    def mark_recovered(self, dst: int) -> None:
+    def mark_recovered(self, dst: int) -> list[Envelope]:
         """Undo :meth:`mark_crashed`: queued inbound heads become ready again.
 
         The channels themselves were never torn down — messages sent to
         the crashed process stayed queued (reliability) and their
         per-channel sequence numbers kept advancing, so FIFO exactly-once
         continues seamlessly across the restart: delivery resumes at the
-        exact head the crash interrupted.
+        exact head the crash interrupted.  Nothing is parked outside the
+        channels, so the returned list is always empty.
         """
-        if dst not in self._crashed_dst:
-            return
-        self._crashed_dst.discard(dst)
-        for key in self._nonempty:
-            if key[1] == dst and key not in self._ready:
-                self._ready.add(key)
-                insort(self._ready_sorted, key)
+        if dst in self._crashed_dst:
+            self._crashed_dst.discard(dst)
+            for key in self._nonempty:
+                if key[1] == dst and key not in self._ready:
+                    self._ready.add(key)
+                    insort(self._ready_sorted, key)
+        return []
 
     def ready_heads(self) -> list[Envelope]:
         """Deliverable channel heads, in deterministic (src, dst) order.
@@ -159,18 +171,23 @@ class Network:
     def has_ready(self) -> bool:
         return bool(self._ready)
 
-    def pending_heads(self, alive_destinations: set[int]) -> list[Envelope]:
-        """Channel heads whose destination is in ``alive_destinations``.
+    def next(self, sched) -> Envelope | None:
+        """Deliver the ready head ``sched`` picks; None when nothing is ready.
 
-        Caller-supplied-liveness variant kept for the lockstep driver and
-        direct tests; it scans only the non-empty channels.  The
-        simulator's hot loop uses :meth:`ready_view` instead.
+        The delivery-source step of the simulator's loop.  The lazy view
+        resolves only the heads the scheduler inspects: O(1) per delivery
+        for the default uniform scheduler instead of materializing ~n^2
+        heads.
         """
-        return [
-            self._channels[key].head
-            for key in sorted(self._nonempty)
-            if key[1] in alive_destinations
-        ]
+        if not self._ready:
+            return None
+        heads = self.ready_view()
+        return self.deliver(heads[sched.choose(heads)])
+
+    @property
+    def steps(self) -> int:
+        """Delivery steps so far: every delivery is one scheduler decision."""
+        return self.messages_delivered
 
     def deliver(self, env: Envelope) -> Envelope:
         key = (env.src, env.dst)
@@ -186,15 +203,6 @@ class Network:
                 del self._ready_sorted[idx]
         self.messages_delivered += 1
         return delivered
-
-    def channel_depth(self, src: int, dst: int) -> int:
-        """Number of queued messages on the ``src -> dst`` channel."""
-        return self._channels[(src, dst)].depth
-
-    def head_of(self, src: int, dst: int) -> Envelope | None:
-        """The head envelope of one channel, or None when empty."""
-        channel = self._channels[(src, dst)]
-        return channel.head if channel.has_pending else None
 
     @property
     def undelivered(self) -> int:

@@ -2,9 +2,9 @@
 
 The paper's model is crash-stop; the :class:`~repro.runtime.faults.
 RecoverySpec` axis extends it with processes that come back.  This module
-is the one place the semantics of a revival live, shared by all four
-runtimes (discrete-event simulator, transport simulation, lockstep,
-asyncio):
+is the one place the semantics of a revival live, shared by the
+simulator's delivery loop (structural network, transport and lockstep
+sources alike) and the asyncio runtime:
 
 * a crash with a recovery spec schedules a revival ``recover_at``
   application-level delivery steps later;
@@ -53,7 +53,6 @@ class RecoveryManager:
         *,
         core_factory: CoreFactory,
         store=None,
-        network=None,
     ):
         if plan.recoveries and core_factory is None:
             raise ValueError(
@@ -64,7 +63,6 @@ class RecoveryManager:
         self.shells = shells
         self.core_factory = core_factory
         self.store = store
-        self.network = network
         #: (due_step, pid), sorted — the schedule of pending revivals.
         self._pending: list[tuple[int, int]] = []
         self._scheduled: set[int] = set()
@@ -109,8 +107,8 @@ class RecoveryManager:
 
         Resolves the effective durability (durable degrades to amnesia
         when no checkpoint survived), records the recovery on the
-        process's trace, swaps the replacement core into the shell, and
-        re-opens the process's inbound channels on structural networks.
+        process's trace and swaps the replacement core into the shell.
+        Re-opening the process's inbound delivery is the driver's job.
         """
         shell = self.shells[pid]
         spec = self.plan.recovery_spec(pid)
@@ -129,8 +127,6 @@ class RecoveryManager:
             trace.note_recovery(step, mode, restarted)
         core = self.core_factory(pid, data)
         shell.revive(core, restart=(mode == AMNESIA))
-        if self.network is not None:
-            self.network.mark_recovered(pid)
         self.revived.append(pid)
         PERF.process_recoveries += 1
         if restarted:

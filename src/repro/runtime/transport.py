@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -57,9 +58,9 @@ from ..geometry.cache import PERF
 from .channel import ChannelError
 from .faults import FaultPlan, LinkFaultPlan, LinkFaultSpec
 from .messages import Payload
-from .process import ProcessShell, ProtocolCore
+from .process import ProtocolCore
 from .scheduler import Scheduler, default_scheduler
-from .simulator import SimulationError, SimulationReport
+from .simulator import SimulationError, SimulationReport, _default_max_steps, _drive
 
 #: Frame kinds on the wire.
 DATA = "data"
@@ -294,7 +295,9 @@ class TransportNetwork:
     """Reliable-delivery transport over a :class:`LossyFabric`.
 
     Duck-types :class:`~repro.runtime.network.Network` for process
-    shells (``n`` + ``send``).  Transport endpoints belong to the
+    shells (``n`` + ``send``) and for the simulator's delivery loop (a
+    delivery source: :meth:`next`, :meth:`mark_crashed`,
+    :meth:`mark_recovered`, ``steps``).  Transport endpoints belong to the
     *channel infrastructure*, not the process: a crashed process stops
     sending new application messages, but frames already handed to the
     transport keep being retransmitted and acknowledged — exactly the
@@ -327,6 +330,17 @@ class TransportNetwork:
         # the reassembly logic must trip the oracle, so the oracle may
         # not reuse the reassembly state.
         self._boundary_seq: dict[tuple[int, int], int] = {}
+        # Delivery-source state: fabric frames delivered, the application
+        # schedule, app frames released by the current fabric frame, and
+        # the receivers that are down (those that will come back get their
+        # frames parked: acked already, they can never be retransmitted).
+        self.steps = 0
+        self.app_deliveries: list[tuple[int, int]] = []
+        self.checkpoint_store = None
+        self._released: deque[Frame] = deque()
+        self._frame_open = False
+        self._crashed: set[int] = set()
+        self._parked: dict[int, list[Frame]] = {}
 
     # -- Network duck-type -------------------------------------------------
     def send(self, src: int, dst: int, payload: Payload, send_round: int) -> None:
@@ -419,6 +433,7 @@ class TransportNetwork:
             )
         self._boundary_seq[link] = expected + 1
         self.messages_delivered += 1
+        self.app_deliveries.append(link)
 
     def note_crashed_drop(self, frame: Frame) -> None:
         """Advance the boundary oracle past a frame its receiver slept through.
@@ -441,6 +456,72 @@ class TransportNetwork:
             )
         self._boundary_seq[link] = expected + 1
         PERF.crashed_app_drops += 1
+
+    # -- delivery source (the simulator's loop) ----------------------------
+    def next(self, sched) -> Frame | None:
+        """Next application frame for a live receiver; None at quiescence.
+
+        The scheduler orders *fabric* frames (data, retransmissions,
+        acks); one fabric frame can release zero or several in-order
+        application frames, handed out one per call.  A frame released to
+        a crashed receiver is parked when the receiver will come back and
+        retired at the boundary oracle otherwise (old-network semantics:
+        the transport acked it, the application never sees it).  The
+        channel checkpoint and :meth:`pump` run once per fabric frame,
+        after every application frame it released.
+        """
+        while True:
+            while self._released:
+                frame = self._released.popleft()
+                if frame.dst not in self._crashed:
+                    self.deliver_to_app(frame)
+                    return frame
+                if frame.dst in self._parked:
+                    self._parked[frame.dst].append(frame)
+                else:
+                    self.note_crashed_drop(frame)
+            if self._frame_open:
+                self._frame_open = False
+                self._save_checkpoint()
+                self.pump()
+            frames = self.fabric.ready_frames()
+            if not frames:
+                if not self.has_work():
+                    return None
+                self.advance_idle()
+                continue
+            self.steps += 1
+            frame = frames[sched.choose(frames)]
+            self.fabric.deliver(frame)
+            self._released.extend(self.on_frame(frame))
+            self._frame_open = True
+
+    def mark_crashed(self, dst: int, recovering: bool = False) -> None:
+        """Stop application delivery to ``dst``; its endpoint keeps acking.
+
+        Frames released to it from now on are parked for its revival when
+        it is ``recovering``, and retired at the boundary otherwise.
+        """
+        self._crashed.add(dst)
+        if recovering:
+            self._parked.setdefault(dst, [])
+
+    def mark_recovered(self, dst: int) -> list[Frame]:
+        """Re-open delivery to ``dst``; its parked frames cross the boundary.
+
+        The caller hands them to the revived process in arrival order,
+        before anything else reaches it.
+        """
+        self._crashed.discard(dst)
+        self._save_checkpoint()
+        parked = self._parked.pop(dst, [])
+        for frame in parked:
+            self.deliver_to_app(frame)
+        return parked
+
+    def _save_checkpoint(self) -> None:
+        if self.checkpoint_store is not None:
+            self.checkpoint_store.save("transport", self.checkpoint())
 
     # -- checkpointing (crash-recovery support) ----------------------------
     def checkpoint(self) -> dict:
@@ -584,20 +665,19 @@ def run_transport_simulation(
     checkpoint_store=None,
     core_factory=None,
 ) -> SimulationReport:
-    """Drive the cores over a lossy fabric; mirror of ``run_simulation``.
+    """Drive the cores over a lossy fabric through the simulator's loop.
 
     The scheduler now adversarially orders *frames* (data,
     retransmissions, acks) instead of application envelopes; per-link
     FIFO no longer holds on the wire — the transport restores it at the
-    delivery boundary.  The report's ``app_deliveries`` records the
+    delivery boundary.  ``delivery_steps`` counts fabric frames and
+    ``max_steps`` bounds them.  The report's ``app_deliveries`` records the
     application-level delivery sequence, which (by construction of the
     reliable layer) is a legal schedule of the structural reliable
     network — the transport-equivalence property suite replays it there
     and demands identical decisions.
     """
     n = len(cores)
-    plan = (fault_plan or FaultPlan.none()).validate(n)
-    sched = scheduler or default_scheduler()
     transport = TransportNetwork(
         n,
         link_faults,
@@ -605,140 +685,19 @@ def run_transport_simulation(
         rto_base=rto_base,
         clock_budget=clock_budget,
     )
-    from .recovery import RecoveryManager, make_recovery_setup
-
-    store = make_recovery_setup(plan, checkpoint_store, core_factory)
-    from .byzantine import byzantine_engines
-
-    engines = byzantine_engines(plan, n)
-    shells = [
-        ProcessShell(
-            core,
-            transport,
-            crash_spec=plan.crash_spec(core.pid),
-            checkpoint_store=store,
-            byzantine=engines.get(core.pid),
-        )
-        for core in cores
-    ]
-    manager = (
-        RecoveryManager(plan, shells, core_factory=core_factory, store=store)
-        if plan.recoveries
-        else None
-    )
-    # App frames that reached a crashed-but-recovering endpoint: the
-    # transport acked them (channel infrastructure outlives the process),
-    # so they can never be retransmitted — park them for the revival.
-    parked: dict[int, list[Frame]] = {}
     if max_steps is None:
         # The simulator's quiescence bound, widened for transport
         # overhead: acks roughly double the frame count and loss/dup
         # multiply it by a small constant.
-        max_steps = 8 * (2000 * n * n * n + 100_000)
-
-    perf_before = PERF.snapshot()
-    alive = {shell.pid for shell in shells}
-    app_deliveries: list[tuple[int, int]] = []
-
-    def note_crash(shell: ProcessShell) -> None:
-        if shell.crashed and shell.pid in alive:
-            alive.discard(shell.pid)
-            if manager is not None:
-                manager.note_crash(shell, len(app_deliveries))
-
-    def revive(pid: int) -> None:
-        """Execute one revival, then replay its parked app frames."""
-        shell = manager.revive(pid, len(app_deliveries))
-        alive.add(pid)
-        if store is not None:
-            store.save("transport", transport.checkpoint())
-        for env in parked.pop(pid, []):
-            transport.deliver_to_app(env)
-            app_deliveries.append((env.src, env.dst))
-            shell.receive(env.payload, env.src)
-            if on_deliver is not None:
-                on_deliver()
-
-    for shell in shells:
-        shell.start()
-    for shell in shells:
-        note_crash(shell)
-    if on_deliver is not None:
-        on_deliver()
-
-    steps = 0
-    while True:
-        frames = transport.fabric.ready_frames()
-        if not frames:
-            if not transport.has_work():
-                if manager is not None and manager.has_pending:
-                    # Quiescence with revivals pending: fire the earliest
-                    # (the quiescence rule — see RecoverySpec docs).
-                    revive(manager.pop_earliest())
-                    continue
-                break
-            transport.advance_idle()
-            continue
-        steps += 1
-        if steps > max_steps:
-            raise SimulationError(
-                f"no quiescence after {max_steps} frame deliveries "
-                f"(in flight={transport.fabric.in_flight}, "
-                f"sent={transport.messages_sent})"
-            )
-        frame = frames[sched.choose(frames)]
-        transport.fabric.deliver(frame)
-        for env in transport.on_frame(frame):
-            receiver = shells[env.dst]
-            if receiver.crashed:
-                # Old-network semantics: messages addressed to a crashed
-                # process stay undelivered at the application layer (the
-                # transport still acknowledged the frame).  A recovering
-                # endpoint gets them replayed at revival; a crash-stop
-                # endpoint retires them at the boundary oracle.
-                if manager is not None and manager.will_recover(env.dst):
-                    parked.setdefault(env.dst, []).append(env)
-                else:
-                    transport.note_crashed_drop(env)
-                continue
-            transport.deliver_to_app(env)
-            app_deliveries.append((env.src, env.dst))
-            receiver.receive(env.payload, env.src)
-            note_crash(receiver)
-            if manager is not None:
-                for pid in manager.due(len(app_deliveries)):
-                    revive(pid)
-            if on_deliver is not None:
-                on_deliver()
-        if store is not None:
-            store.save("transport", transport.checkpoint())
-        transport.pump()
-
-    decided = [s.pid for s in shells if s.done]
-    crashed = [s.pid for s in shells if s.crashed]
-    undecided_alive = [
-        s.pid for s in shells
-        if s.alive and not s.done and not s.ever_crashed
-        and s.pid not in plan.byzantine
-    ]
-    if require_all_fault_free_decide and undecided_alive:
-        raise SimulationError(
-            f"non-crashed processes ended undecided: {undecided_alive}"
-        )
-    report = SimulationReport(
-        delivery_steps=steps,
-        messages_sent=transport.messages_sent,
-        messages_delivered=transport.messages_delivered,
-        decided=decided,
-        crashed=crashed,
-        undecided_alive=undecided_alive,
-        perf_counters=PERF.diff(perf_before),
-        app_deliveries=tuple(app_deliveries),
-        recovered=list(manager.revived) if manager is not None else [],
+        max_steps = 8 * _default_max_steps(n)
+    return _drive(
+        cores,
+        fault_plan,
+        transport,
+        scheduler or default_scheduler(),
+        max_steps=max_steps,
+        require_all_fault_free_decide=require_all_fault_free_decide,
+        on_deliver=on_deliver,
+        checkpoint_store=checkpoint_store,
+        core_factory=core_factory,
     )
-    for shell in shells:
-        trace = getattr(shell.core, "trace", None)
-        if trace is not None:
-            trace.sends_in_round = dict(shell.protocol_sends)
-            trace.crash_fired_round = shell.crash_fired_round
-    return report

@@ -7,6 +7,9 @@ re-running them.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,34 @@ from repro.core.runner import CCResult, run_convex_hull_consensus
 from repro.runtime.faults import FaultPlan
 from repro.runtime.scheduler import BurstyScheduler, TargetedDelayScheduler
 from repro.workloads import gaussian_cluster, with_outliers
+
+
+def _run_digest(report, decisions=()) -> str:
+    """SHA-256 over one execution's integer observables.
+
+    Covers the recorded scheduler decisions, the application delivery
+    sequence, step and message counts and the decided/crashed/recovered
+    pids.  No float is hashed, so a pinned digest holds on every Python
+    and numpy version while still failing on any change of delivery order.
+    """
+    payload = {
+        "decisions": [[int(s), int(d)] for s, d in decisions],
+        "app_deliveries": [[int(s), int(d)] for s, d in report.app_deliveries],
+        "delivery_steps": report.delivery_steps,
+        "messages_sent": report.messages_sent,
+        "messages_delivered": report.messages_delivered,
+        "decided": list(report.decided),
+        "crashed": list(report.crashed),
+        "recovered": list(report.recovered),
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="session")
+def run_digest():
+    """The cross-commit golden digest of a run (see :func:`_run_digest`)."""
+    return _run_digest
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 """Fault parity: the same ``FaultPlan`` on both runtimes.
 
-The lockstep (discrete-event) simulator is where the chaos engine fuzzes;
-the asyncio runtime is the concurrency-realistic cross-check.  For the
-same scenario and fault plan both must satisfy every paper property, and
+The discrete-event simulator is where the chaos engine fuzzes; the
+asyncio runtime is the concurrency-realistic cross-check.  For the same
+scenario and fault plan both must satisfy every paper property, and
 their decided hulls must land in the same region (exact interleavings
 differ by design, so the comparison is geometric, not bitwise).
 """
@@ -39,29 +39,29 @@ def inputs():
 class TestFaultParity:
     @pytest.fixture()
     def runs(self, inputs, plan):
-        lockstep = run_convex_hull_consensus(
+        sim = run_convex_hull_consensus(
             inputs, 1, 0.2, fault_plan=plan, seed=3, input_bounds=(-4.0, 4.0)
         )
         aio = run_asyncio_consensus(
             inputs, 1, 0.2, fault_plan=plan, seed=3, input_bounds=(-4.0, 4.0)
         )
-        return lockstep, aio
+        return sim, aio
 
     def test_both_runtimes_satisfy_all_invariants(self, runs):
-        lockstep, aio = runs
-        assert check_all(lockstep.trace).ok
+        sim, aio = runs
+        assert check_all(sim.trace).ok
         assert check_all(aio.trace).ok
 
     def test_decided_hulls_land_close(self, inputs, runs):
-        lockstep, aio = runs
-        lk = next(iter(lockstep.fault_free_outputs.values()))
+        sim, aio = runs
+        so = next(iter(sim.fault_free_outputs.values()))
         ao = next(iter(aio.trace.fault_free_outputs().values()))
         # Both hulls contain I_Z and lie inside the correct-input hull,
         # so their distance is bounded by the correct-input spread.
         correct = np.delete(np.asarray(inputs), 4, axis=0)
         spread = float(np.linalg.norm(correct.max(0) - correct.min(0)))
-        assert hausdorff_distance(lk, ao) <= spread + 1e-9
+        assert hausdorff_distance(so, ao) <= spread + 1e-9
 
     def test_same_fault_bookkeeping(self, runs):
-        lockstep, aio = runs
-        assert lockstep.trace.faulty == aio.trace.faulty
+        sim, aio = runs
+        assert sim.trace.faulty == aio.trace.faulty

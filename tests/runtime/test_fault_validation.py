@@ -190,6 +190,24 @@ class TestByzantineChecks:
                 inputs, 1, 0.3, fault_plan=plan, algorithm="bcc"
             )
 
+    @pytest.mark.parametrize("entry", ["runner", "lockstep", "asyncio"])
+    def test_every_entry_point_rejects_beyond_bound_byzantine_count(self, entry):
+        from repro.runtime.asyncio_runtime import run_asyncio_consensus
+        from repro.runtime.lockstep import run_lockstep_consensus
+
+        run = {
+            "runner": run_convex_hull_consensus,
+            "lockstep": run_lockstep_consensus,
+            "asyncio": run_asyncio_consensus,
+        }[entry]
+        inputs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 1))
+        plan = FaultPlan.byzantine_at([2, 3])
+        with pytest.raises(
+            ValueError,
+            match="2 Byzantine processes exceed the configured tolerance f=1",
+        ):
+            run(inputs, 1, 0.4, fault_plan=plan, algorithm="bcc")
+
     def test_runner_rejects_bcc_below_bound_n(self):
         from repro.core.config import ResilienceError
 

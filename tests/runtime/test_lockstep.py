@@ -9,6 +9,17 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.lockstep import run_lockstep_consensus
 from repro.workloads import gaussian_cluster, uniform_box
 
+#: Run digests (``tests/conftest.py::_run_digest``) of the crash-plan
+#: cases; lockstep has no scheduler, so no decisions enter them.
+GOLDEN = {
+    "crash_plan_respected": (
+        "806f3cf469922901cfbe8e02f86f5fe42e7ecde0919238aaa8da32168e957ca3"
+    ),
+    "round0_mid_broadcast_crash": (
+        "edfb9f7cf3e361813f308d9ae587d77b6fa1672ae6bf6610d1d28f6074e9d4c1"
+    ),
+}
+
 
 class TestLockstep:
     def test_fault_free_run(self):
@@ -42,18 +53,20 @@ class TestLockstep:
         series = convergence_series(result.trace)
         assert all(d < 1e-12 for d in series.disagreement)
 
-    def test_crash_plan_respected(self):
+    def test_crash_plan_respected(self, run_digest):
         inputs = uniform_box(6, 1, seed=4)
         plan = FaultPlan.crash_at({5: (1, 2)})
         result = run_lockstep_consensus(inputs, 1, 0.3, fault_plan=plan)
         assert result.report.crashed == [5]
         assert check_all(result.trace).ok
+        assert run_digest(result.report) == GOLDEN["crash_plan_respected"]
 
-    def test_round0_mid_broadcast_crash(self):
+    def test_round0_mid_broadcast_crash(self, run_digest):
         inputs = uniform_box(6, 1, seed=5)
         plan = FaultPlan.crash_at({5: (0, 1)})
         result = run_lockstep_consensus(inputs, 1, 0.3, fault_plan=plan)
         assert check_all(result.trace).ok
+        assert run_digest(result.report) == GOLDEN["round0_mid_broadcast_crash"]
 
     def test_matrix_theory_on_lockstep_traces(self):
         inputs = gaussian_cluster(5, 2, seed=6)

@@ -48,14 +48,14 @@ class TestDispatch:
         core = FakeCore(0, [[(None, _sv())]])
         shell = ProcessShell(core, net)
         shell.start()
-        heads = net.pending_heads({0, 1, 2, 3})
+        heads = net.ready_heads()
         assert sorted(env.dst for env in heads) == [1, 2, 3]
 
     def test_unicast(self):
         net = Network(3)
         core = FakeCore(0, [[(2, _sv())]])
         ProcessShell(core, net).start()
-        heads = net.pending_heads({0, 1, 2})
+        heads = net.ready_heads()
         assert [env.dst for env in heads] == [2]
 
     def test_send_round_stamp(self):
@@ -63,7 +63,7 @@ class TestDispatch:
         core = FakeCore(0, [[(1, _sv())]])
         core.set_round(3)
         ProcessShell(core, net).start()
-        env = net.pending_heads({1})[0]
+        env = net.ready_heads()[0]
         assert env.send_round == 3
 
 
@@ -82,7 +82,7 @@ class TestCrashSpec:
         shell = ProcessShell(core, net, crash_spec=CrashSpec(0, after_sends=2))
         shell.start()
         assert shell.crashed
-        heads = net.pending_heads(set(range(5)))
+        heads = net.ready_heads()
         assert sorted(env.dst for env in heads) == [1, 2]  # ascending prefix
 
     def test_crash_in_later_round(self):
