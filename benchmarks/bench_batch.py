@@ -1,29 +1,17 @@
 #!/usr/bin/env python
-"""A/B benchmark for the batch geometry core and the shared worker cache.
+"""Cross-worker benchmark of the shared on-disk geometry cache.
 
-Two claims, recorded into ``BENCH_batch.json`` at the repository root:
+One claim, recorded into ``BENCH_batch.json`` at the repository root:
+**the shared cache is genuinely cross-worker.**  A two-worker
+``run_grid`` sweep over seeded scenarios runs twice against one
+``cache_dir``: the warm pass — fresh worker processes, same directory —
+answers its cold misses from entries the first pass's workers wrote
+(``shared_cache_hits_foreign > 0``) and returns byte-identical rows.  No
+wall-clock floor is asserted: on single-CPU runners (see ``usable_cpus``
+in ``BENCH_sweep.json``) worker parallelism cannot speed anything up,
+only the sharing itself is the claim.
 
-* **Batched analysis makes large simulations feasible.**  The headline
-  configuration runs one end-to-end pipeline — simulate an ``n=50``,
-  ``d=3`` execution, then compute the full per-round convergence series —
-  under both ``REPRO_GEOMETRY_BATCH`` settings and asserts the batch
-  path is at least 10x faster end-to-end while producing bit-identical
-  rounds, disagreement values, and decision polytopes.  (At the seed's
-  scalar path this analysis took ~5 s *per round* at ``n=50`` — hundreds
-  of rounds made such sweeps infeasible in practice.)
-* **The shared cache is genuinely cross-worker.**  A two-worker
-  ``run_grid`` sweep over seeded scenarios runs twice against one
-  ``cache_dir``: the warm pass — fresh worker processes, same directory —
-  answers its cold misses from entries the first pass's workers wrote
-  (``shared_cache_hits_foreign > 0``) and returns byte-identical rows.
-  No wall-clock floor is asserted for the sweep: on single-CPU runners
-  (see ``usable_cpus`` in ``BENCH_sweep.json``) worker parallelism
-  cannot speed anything up, only the sharing itself is the claim.
-
-``--smoke`` runs a small configuration of both parts in under a minute
-for CI's fast tier: bit-identity and counter plumbing are still
-asserted, the 10x floor is not (timing floors on shared CI runners are
-flake generators).
+``--smoke`` runs a two-cell sweep in under a minute for CI's fast tier.
 """
 
 from __future__ import annotations
@@ -44,106 +32,7 @@ from _harness import record_bench  # noqa: E402
 from repro.analysis.engine import TaskSpec, run_grid, task_key  # noqa: E402
 from repro.analysis.metrics import convergence_series  # noqa: E402
 from repro.analysis.perf_counters import shared_cache_hit_rate  # noqa: E402
-from repro.geometry.batch import batch_override  # noqa: E402
-from repro.geometry.cache import PERF, clear_geometry_caches  # noqa: E402
-from repro.geometry.shared_cache import set_shared_cache_dir  # noqa: E402
 from repro.workloads.scenarios import benign  # noqa: E402
-
-#: The end-to-end A/B configurations: (n, d, eps).  eps is chosen so the
-#: scalar arm terminates in minutes rather than hours — the speedup is
-#: per-round, so it transfers directly to the small-eps runs that were
-#: previously infeasible (t_end grows as eps shrinks, the per-round cost
-#: does not change).
-HEADLINE = {"n": 50, "d": 3, "eps": 20.0, "seed": 0}
-SMOKE = {"n": 10, "d": 2, "eps": 0.1, "seed": 0}
-
-BATCH_COUNTER_FIELDS = (
-    "batch_hausdorff_pairs",
-    "batch_hausdorff_pair_prunes",
-    "batch_hausdorff_vertex_prunes",
-    "batch_hausdorff_dedup_groups",
-)
-
-
-# ---------------------------------------------------------------------------
-# Part 1: end-to-end batch-vs-scalar A/B.
-
-
-def _pipeline(cfg: dict) -> tuple[dict, float]:
-    """Simulate one scenario and analyse it; return (digest, seconds).
-
-    The digest captures everything the batch/scalar contract promises to
-    keep bit-identical: the analysed rounds, the exact float bits of the
-    per-round disagreement, and every decided polytope's vertex bytes.
-    """
-    clear_geometry_caches()
-    start = time.perf_counter()
-    scenario = benign(n=cfg["n"], d=cfg["d"], eps=cfg["eps"], seed=cfg["seed"])
-    result = scenario.run(seed=cfg["seed"])
-    series = convergence_series(result.trace)
-    seconds = time.perf_counter() - start
-    digest = {
-        "t_end": result.trace.t_end,
-        "rounds": list(series.rounds),
-        "disagreement_bits": np.asarray(series.disagreement).tobytes().hex(),
-        "outputs": {
-            pid: hashlib.sha256(poly.vertices.tobytes()).hexdigest()
-            for pid, poly in sorted(result.outputs.items())
-        },
-    }
-    return digest, seconds
-
-
-def measure_ab(cfg: dict, *, name: str, assert_floor: bool) -> dict:
-    """Run the pipeline under both switch settings and compare."""
-    # Keep the on-disk cache out of the A/B timing: both arms measure
-    # computation, not disk reuse.
-    previous_dir = set_shared_cache_dir("")
-    try:
-        with batch_override(False):
-            digest_scalar, sec_scalar = _pipeline(cfg)
-        before = PERF.snapshot()
-        with batch_override(True):
-            digest_batch, sec_batch = _pipeline(cfg)
-        deltas = PERF.diff(before)
-    finally:
-        set_shared_cache_dir(previous_dir)
-
-    assert digest_batch == digest_scalar, (
-        f"batch and scalar pipelines disagree at {cfg}"
-    )
-    speedup = sec_scalar / sec_batch
-    row = {
-        **{k: cfg[k] for k in ("n", "d", "eps", "seed")},
-        "t_end": digest_batch["t_end"],
-        "rounds_analysed": len(digest_batch["rounds"]),
-        "seconds_scalar": sec_scalar,
-        "seconds_batch": sec_batch,
-        "speedup": speedup,
-        "bit_identical": True,
-        "batch_counters": {k: int(deltas[k]) for k in BATCH_COUNTER_FIELDS},
-        "asserted": assert_floor,
-    }
-    print(
-        f"{name}: n={cfg['n']} d={cfg['d']} eps={cfg['eps']} "
-        f"t_end={row['t_end']}  scalar {sec_scalar:8.2f} s  "
-        f"batch {sec_batch:6.2f} s  speedup {speedup:6.1f}x"
-    )
-    # The batch machinery must actually have engaged — dedup groups are
-    # counted on every diameter call, prunes whenever bounds cut work.
-    assert deltas["batch_hausdorff_dedup_groups"] > 0, (
-        "batch diameter path was never taken"
-    )
-    if assert_floor:
-        assert speedup >= 10.0, (
-            f"end-to-end speedup only {speedup:.1f}x at {cfg} (floor: 10x)"
-        )
-    record_bench("batch", name, **row)
-    return row
-
-
-# ---------------------------------------------------------------------------
-# Part 2: cross-worker shared-cache sweep.
 
 
 def scenario_cell(*, seed: int, n: int, d: int, eps: float) -> dict:
@@ -240,28 +129,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small fast configuration for CI: bit-identity and counter "
-        "plumbing only, no timing floors",
+        help="small fast configuration for CI: two cells instead of four",
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
-        measure_ab(SMOKE, name="smoke_n10_d2", assert_floor=False)
         measure_multiworker(seeds=2, n=8, d=2, eps=0.1)
     else:
-        measure_ab(HEADLINE, name="headline_n50_d3", assert_floor=True)
         measure_multiworker(seeds=4, n=8, d=2, eps=0.05)
     print("BENCH_batch.json updated")
     return 0
 
 
 def bench_batch_smoke(benchmark):
-    """pytest-benchmark entry: the smoke subset.
-
-    The full headline A/B is minutes of wall-clock (its scalar arm is the
-    point of the benchmark); it is run explicitly via
-    ``python benchmarks/bench_batch.py`` to refresh the artifact.
-    """
+    """pytest-benchmark entry: the smoke sweep."""
     benchmark.pedantic(lambda: main(["--smoke"]), rounds=1, iterations=1)
 
 

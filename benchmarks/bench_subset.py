@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """A/B benchmark for the subset-intersection depth fast path (PR 4).
 
-Times the same line-5 polytope ``intersect_subset_hulls(X, f)`` through
-both selectable paths — the literal ``C(m, f)``-hull enumeration (the
-oracle) and the polynomial Tukey-depth construction — on seeded random
-multisets, and records the crossover curve into ``BENCH_subset.json`` at
-the repository root.
+Times the same line-5 polytope through both paths of
+``intersect_subset_hulls(X, f)`` — the literal ``C(m, f)``-hull
+enumeration and the polynomial Tukey-depth construction, each called
+directly, past the router and the cache — on seeded random multisets,
+and records the crossover curve into ``BENCH_subset.json`` at the
+repository root.
 
 Claims asserted (full mode):
 
@@ -14,11 +15,14 @@ Claims asserted (full mode):
 * the speedup widens monotonically as ``f`` grows at fixed ``(m, d)``
   (enumeration scales like ``C(m, f)``; the depth path does not depend
   on ``f`` at all);
-* both paths construct the same polytope on every measured configuration.
+* both paths construct the same polytope on every measured configuration;
+* the public entry point routes each configuration by the cost rule
+  ``C(m, f) > C(m, d)``.
 
 ``--smoke`` runs a two-configuration subset in a few seconds for CI's
-fast tier; it fails (exit 1 via assert) if the depth path was never
-taken — the regression guard for the routing machinery.
+fast tier; it fails (exit 1 via assert) if the public entry point
+misroutes or never takes the depth path — the regression guard for the
+router.
 """
 
 from __future__ import annotations
@@ -33,16 +37,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _harness import record_bench  # noqa: E402
-from repro.geometry.cache import (  # noqa: E402
-    PERF,
-    cache_override,
-    clear_geometry_caches,
-)
+from repro.geometry.cache import PERF, clear_geometry_caches  # noqa: E402
 from repro.geometry.hausdorff import hausdorff_distance  # noqa: E402
 from repro.geometry.intersection import (  # noqa: E402
+    _intersect_subsets_depth,
+    _intersect_subsets_enumerate,
     intersect_subset_hulls,
     subset_count,
-    subset_mode_override,
 )
 from repro.geometry.polytope import ConvexPolytope  # noqa: E402
 
@@ -66,17 +67,23 @@ def _points(m: int, d: int, seed: int = 0) -> np.ndarray:
     return rng.normal(size=(m, d)) * 2.0
 
 
-def _time_path(mode: str, pts: np.ndarray, f: int, repeats: int) -> tuple[float, ConvexPolytope]:
-    """Best-of-``repeats`` wall-clock of one uncached intersection."""
+def _time_path(path, pts: np.ndarray, f: int, repeats: int) -> tuple[float, ConvexPolytope]:
+    """Best-of-``repeats`` wall-clock of one path, called directly (no cache)."""
     best = float("inf")
     result = None
-    with cache_override(False), subset_mode_override(mode):
-        for _ in range(repeats):
-            clear_geometry_caches()
-            start = time.perf_counter()
-            result = intersect_subset_hulls(pts, f)
-            best = min(best, time.perf_counter() - start)
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = path(pts, pts.shape[1], f)
+        best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _routes_to_depth(pts: np.ndarray, f: int) -> bool:
+    """Whether the public entry point takes the depth path (cold cache)."""
+    clear_geometry_caches()
+    before = PERF.snapshot()
+    intersect_subset_hulls(pts, f)
+    return PERF.diff(before)["subset_fast_path_hits"] == 1
 
 
 def _agree(a: ConvexPolytope, b: ConvexPolytope, scale: float) -> bool:
@@ -89,13 +96,15 @@ def measure(configs: list[tuple[int, int, int]], repeats: int) -> dict:
     rows = {}
     for m, d, f in configs:
         pts = _points(m, d)
-        before = PERF.snapshot()
-        sec_depth, poly_depth = _time_path("depth", pts, f, repeats)
-        fast_hits = PERF.diff(before)["subset_fast_path_hits"]
-        sec_enum, poly_enum = _time_path("enumerate", pts, f, repeats)
+        sec_depth, poly_depth = _time_path(_intersect_subsets_depth, pts, f, repeats)
+        sec_enum, poly_enum = _time_path(_intersect_subsets_enumerate, pts, f, repeats)
         scale = max(1.0, float(np.abs(pts).max()))
         assert _agree(poly_depth, poly_enum, scale), (
             f"paths disagree at (m={m}, d={d}, f={f})"
+        )
+        routed = _routes_to_depth(pts, f)
+        assert routed == (subset_count(m, f) > subset_count(m, d)), (
+            f"misrouted at (m={m}, d={d}, f={f}): depth path taken = {routed}"
         )
         speedup = sec_enum / sec_depth
         rows[(m, d, f)] = {
@@ -104,11 +113,10 @@ def measure(configs: list[tuple[int, int, int]], repeats: int) -> dict:
             "f": f,
             "enumeration_hulls": subset_count(m, f),
             "candidate_subsets": subset_count(m, d),
-            "auto_routes_to_depth": subset_count(m, f) > subset_count(m, d),
+            "auto_routes_to_depth": routed,
             "seconds_enumerate": sec_enum,
             "seconds_depth": sec_depth,
             "speedup": speedup,
-            "subset_fast_path_hits": int(fast_hits),
         }
         print(
             f"m={m:3d} d={d} f={f}  C(m,f)={subset_count(m, f):5d}  "
@@ -134,8 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     repeats = 1 if args.smoke else args.repeats
     rows = measure(configs, repeats)
 
-    total_fast_hits = sum(r["subset_fast_path_hits"] for r in rows.values())
-    assert total_fast_hits > 0, (
+    assert any(r["auto_routes_to_depth"] for r in rows.values()), (
         "regression: the depth fast path was never taken"
     )
 

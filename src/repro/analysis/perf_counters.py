@@ -2,7 +2,7 @@
 instrumentation.
 
 The counters themselves live in :mod:`repro.geometry.cache` (the lowest
-layer of the stack, so hull/H-rep/LP/Minkowski hot paths can increment
+layer of the stack, so hull/LP/Minkowski hot paths can increment
 them without upward imports); this module re-exports the singleton and
 adds the measurement ergonomics the analysis and benchmark layers need:
 
@@ -11,8 +11,8 @@ adds the measurement ergonomics the analysis and benchmark layers need:
 * :func:`measure` — time a callable and capture its counter deltas in one
   call (what the benchmark harness records into ``BENCH_*.json``),
 * :func:`cache_hit_rate` — the *intra-worker* redundancy metric: the
-  fraction of memoizable geometry calls served from the in-memory LRU
-  layer of the process that made them,
+  fraction of subset-intersection and combination calls served from the
+  in-memory LRU layer of the process that made them,
 * :func:`shared_cache_hit_rate` — the *cross-worker* sharing metric: the
   fraction of shared-disk-cache lookups answered by an entry some
   **other** process wrote (``foreign`` hits).  The two are deliberately
@@ -25,7 +25,7 @@ Typical use::
     from repro.analysis.perf_counters import measure
 
     result, seconds, counters = measure(run_convex_hull_consensus, inputs, 1, 0.3)
-    print(seconds, counters["hull_calls"], counters["hull_cache_hits"])
+    print(seconds, counters["hull_calls"], counters["combination_cache_hits"])
 """
 
 from __future__ import annotations
@@ -33,17 +33,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
-from ..geometry.batch import batch_enabled, batch_override, set_batch_enabled
-from ..geometry.cache import (
-    PERF,
-    PerfCounters,
-    cache_disabled,
-    cache_enabled,
-    cache_override,
-    cache_stats,
-    clear_geometry_caches,
-    set_cache_enabled,
-)
+from ..geometry.cache import PERF, PerfCounters, cache_stats, clear_geometry_caches
 from ..geometry.shared_cache import (
     set_shared_cache_dir,
     shared_cache_dir,
@@ -53,20 +43,13 @@ from ..geometry.shared_cache import (
 __all__ = [
     "PERF",
     "PerfCounters",
-    "batch_enabled",
-    "batch_override",
-    "cache_disabled",
-    "cache_enabled",
     "cache_hit_rate",
-    "cache_override",
     "cache_stats",
     "clear_geometry_caches",
     "counters_dict",
     "counters_since",
     "measure",
     "reset_perf_counters",
-    "set_batch_enabled",
-    "set_cache_enabled",
     "set_shared_cache_dir",
     "shared_cache_dir",
     "shared_cache_enabled",
@@ -76,8 +59,6 @@ __all__ = [
 
 #: Counter-name pairs (lookups, hits) for every memoized primitive.
 _HIT_PAIRS: tuple[tuple[str, str], ...] = (
-    ("hull_calls", "hull_cache_hits"),
-    ("hrep_calls", "hrep_cache_hits"),
     ("subset_intersection_calls", "subset_intersection_cache_hits"),
     ("combination_calls", "combination_cache_hits"),
 )
@@ -106,7 +87,7 @@ def reset_perf_counters() -> None:
 def cache_hit_rate(counters: dict[str, int] | None = None) -> float:
     """Fraction of memoizable geometry calls served from the in-memory LRU.
 
-    Aggregates hull, H-rep, subset-intersection and combination lookups.
+    Aggregates subset-intersection and combination lookups.
     ``counters`` defaults to the global totals; pass a delta dict (from
     :func:`counters_since` or :func:`measure`) to scope the rate to one
     measured region.  Returns 0.0 when nothing was measured.

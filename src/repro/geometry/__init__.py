@@ -8,27 +8,8 @@ supporting machinery (H-representations, projections, depth, volume,
 sampling) — all on numpy/scipy, with explicit degeneracy handling.
 """
 
-from .batch import (
-    PolytopeBatch,
-    batch_directed_hausdorff,
-    batch_disagreement_diameter,
-    batch_enabled,
-    batch_feasibility,
-    batch_hausdorff_distance,
-    batch_linear_combination,
-    batch_override,
-    set_batch_enabled,
-)
-from .cache import (
-    PERF,
-    PerfCounters,
-    cache_disabled,
-    cache_enabled,
-    cache_override,
-    cache_stats,
-    clear_geometry_caches,
-    set_cache_enabled,
-)
+from .batch import batch_directed_hausdorff, batch_disagreement_diameter
+from .cache import PERF, PerfCounters, cache_stats, clear_geometry_caches
 from .combination import (
     equal_weight_combination,
     linear_combination,
@@ -65,11 +46,8 @@ from .intersection import (
     intersect_hulls,
     intersect_subset_hulls,
     optimal_polytope_iz,
-    set_subset_mode,
     subset_count,
     subset_intersection_is_nonempty,
-    subset_mode,
-    subset_mode_override,
 )
 from .linalg import AffineChart, affine_chart, affine_rank, as_points_array
 from .operations import (
@@ -130,7 +108,6 @@ __all__ = [
     "GeometryError",
     "HullComputationError",
     "InfeasibleRegionError",
-    "PolytopeBatch",
     "SolverError",
     "Tolerances",
     "affine_chart",
@@ -140,14 +117,6 @@ __all__ = [
     "aspect_ratio",
     "batch_directed_hausdorff",
     "batch_disagreement_diameter",
-    "batch_enabled",
-    "batch_feasibility",
-    "batch_hausdorff_distance",
-    "batch_linear_combination",
-    "batch_override",
-    "cache_disabled",
-    "cache_enabled",
-    "cache_override",
     "cache_stats",
     "chebyshev_center",
     "clear_geometry_caches",
@@ -192,10 +161,7 @@ __all__ = [
     "sample_in_polytope",
     "sample_on_vertices",
     "sample_outside_polytope",
-    "set_batch_enabled",
-    "set_cache_enabled",
     "set_shared_cache_dir",
-    "set_subset_mode",
     "shared_cache_dir",
     "shared_cache_enabled",
     "steiner_lipschitz_bound",
@@ -203,8 +169,6 @@ __all__ = [
     "stochastic_row_combination",
     "subset_count",
     "subset_intersection_is_nonempty",
-    "subset_mode",
-    "subset_mode_override",
     "tukey_depth",
     "tverberg_partition",
     "tverberg_partition_1d",

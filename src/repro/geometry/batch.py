@@ -1,26 +1,27 @@
-"""Batch operations over many polytopes at once — the batch geometry core.
+"""Bound-and-prune kernels behind the public Hausdorff functions.
 
-Algorithm CC's cost after the PR-1 memoization layer and the PR-4 depth
-fast path is dominated by *per-polytope python loops*: the per-vertex
-Hausdorff maximisation behind every ``d_H`` evaluation (a FISTA projection
-per vertex, ~1.2M tiny numpy calls for one n=16 analysis pass), the
-pairwise Minkowski fold in ``linear_combination``, and one LP per
-feasibility check.  This module restructures those paths around **batch**
-inputs: a stacked-vertex-array + prefix-index batch type, batched
-Hausdorff-distance maximisation with certified pruning, batched
-combinations with redundancy collapse, and batched LP feasibility over a
-single stacked constraint system.
+Algorithm CC's analysis evaluates ``d_H`` (Eq. 1) for every pair of
+process states in every round.  The exhaustive evaluation runs one
+FISTA projection per source vertex (~1.2M tiny numpy calls for one n=16
+analysis pass).  The kernels here compute a certified upper bound for
+every candidate in one vectorized pass and run the projection kernel
+only on candidates that can still attain the maximum:
+:func:`batch_directed_hausdorff` prunes source vertices,
+:func:`batch_disagreement_diameter` deduplicates bit-identical members
+and prunes pairs.  :mod:`repro.geometry.hausdorff` exposes them as
+``directed_hausdorff``, ``hausdorff_distance`` and
+``disagreement_diameter``.
 
 Equivalence contract
 --------------------
-Every batched path is designed to return **bit-identical** results to the
-scalar oracle (the pre-existing per-polytope implementations, which stay
-in place behind ``REPRO_GEOMETRY_BATCH=0``), by one of two arguments:
+Every kernel returns **bit-identical** results to the exhaustive scalar
+scan (kept as the test oracles in ``tests/oracles/hausdorff.py``), by
+one of two arguments:
 
-* *same-kernel*: the batched path performs exactly the scalar kernel's
-  floating-point operations on exactly the scalar kernel's operands —
-  redundancy collapse (dedup, caching) and vectorized bound computation
-  never change what the surviving kernel invocations compute; or
+* *same-kernel*: the kernel performs exactly the scalar scan's
+  floating-point operations on exactly its operands — dedup and
+  vectorized bound computation never change what the surviving
+  projection calls compute; or
 * *certified pruning*: a maximisation skips a candidate only when a
   certified upper bound on its value lies below an already-*achieved*
   kernel value minus a safety margin (:data:`PRUNE_MARGIN`, resolution
@@ -28,27 +29,14 @@ in place behind ``REPRO_GEOMETRY_BATCH=0``), by one of two arguments:
   returned maximum is the same float the exhaustive scan produces.
 
 The seeded property suites in ``tests/property/test_batch_properties.py``
-assert exact (``==``) equality between the two paths, and CI runs the
-whole fast tier under both switch settings.
-
-Switch
-------
-``REPRO_GEOMETRY_BATCH`` (default on; ``0``/``false``/``off`` disables)
-selects the batched implementations behind the public entry points in
-:mod:`repro.geometry.hausdorff`; :func:`set_batch_enabled` /
-:func:`batch_override` flip it programmatically.  The env var is re-read
-on every query so engine workers configured via the environment agree
-with their parent.
+assert exact (``==``) equality with the oracles.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cache import PERF, array_key
 from .errors import DimensionMismatchError, EmptyPolytopeError
@@ -57,15 +45,8 @@ from .projection import project_onto_hull
 
 __all__ = [
     "PRUNE_MARGIN",
-    "PolytopeBatch",
     "batch_directed_hausdorff",
     "batch_disagreement_diameter",
-    "batch_feasibility",
-    "batch_hausdorff_distance",
-    "batch_linear_combination",
-    "batch_enabled",
-    "batch_override",
-    "set_batch_enabled",
 ]
 
 #: Relative safety margin for certified pruning: a candidate is skipped
@@ -76,126 +57,14 @@ __all__ = [
 #: not within a hair of the maximum.
 PRUNE_MARGIN = 1e-9
 
-_ENV_VAR = "REPRO_GEOMETRY_BATCH"
-_OFF_VALUES = ("0", "false", "off")
-
-#: Programmatic override; ``None`` defers to the environment.
-_BATCH_OVERRIDE: bool | None = None
-
 
 def batch_enabled() -> bool:
-    """True when public geometry entry points route to the batch core."""
-    if _BATCH_OVERRIDE is not None:
-        return _BATCH_OVERRIDE
-    return os.environ.get(_ENV_VAR, "1") not in _OFF_VALUES
+    """Always True: the bound-and-prune kernels are the only path.
 
-
-def set_batch_enabled(enabled: bool | None) -> bool | None:
-    """Force the switch (``True``/``False``) or restore env control (``None``).
-
-    Returns the previous override for save/restore.
+    Kept only for the benchmark harness (``perfbench/run.py``), which
+    checks it before measuring.
     """
-    global _BATCH_OVERRIDE
-    previous = _BATCH_OVERRIDE
-    _BATCH_OVERRIDE = enabled if enabled is None else bool(enabled)
-    return previous
-
-
-@contextmanager
-def batch_override(enabled: bool) -> Iterator[None]:
-    """Context manager: run a block with the batch core forced on/off."""
-    previous = set_batch_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_batch_enabled(previous)
-
-
-# ----------------------------------------------------------------------
-# PolytopeBatch
-# ----------------------------------------------------------------------
-
-class PolytopeBatch:
-    """Many polytopes as one stacked vertex array plus prefix indices.
-
-    The batch layout is the currency of the batch core: member ``i``'s
-    vertices are ``stacked[offsets[i]:offsets[i+1]]``, so cross-member
-    vectorized operations (pairwise distance blocks, per-member bounding
-    boxes/supports via segmented reductions) run as single numpy calls
-    over the whole population instead of per-polytope python loops.
-
-    Members must share one ambient dimension and be non-empty (the batch
-    operations below are maximisations/combinations, undefined on empty
-    operands exactly as their scalar counterparts are).
-    """
-
-    __slots__ = ("stacked", "offsets", "dim", "_members", "_keys")
-
-    def __init__(self, polytopes: Sequence[ConvexPolytope]):
-        members = list(polytopes)
-        if not members:
-            raise ValueError("PolytopeBatch requires at least one polytope")
-        dim = members[0].dim
-        for poly in members:
-            if poly.dim != dim:
-                raise DimensionMismatchError("mixed dimensions in batch")
-            if poly.is_empty:
-                raise EmptyPolytopeError("empty polytope in batch")
-        counts = np.array([p.num_vertices for p in members], dtype=np.int64)
-        offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        self.stacked = np.vstack([p.vertices for p in members])
-        self.offsets = offsets
-        self.dim = dim
-        self._members = members
-        self._keys: list[tuple] | None = None
-
-    @classmethod
-    def from_polytopes(cls, polytopes: Sequence[ConvexPolytope]) -> "PolytopeBatch":
-        return cls(polytopes)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def member(self, i: int) -> ConvexPolytope:
-        return self._members[i]
-
-    def segment(self, i: int) -> np.ndarray:
-        """Member ``i``'s vertex rows of the stacked array (a view)."""
-        return self.stacked[self.offsets[i] : self.offsets[i + 1]]
-
-    @property
-    def vertex_counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def content_keys(self) -> list[tuple]:
-        """Per-member content keys (bit-level identity across members)."""
-        if self._keys is None:
-            self._keys = [array_key(p.vertices) for p in self._members]
-        return self._keys
-
-    def bounding_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-member axis-aligned boxes as ``(lowers, uppers)``, each (k, d).
-
-        Segmented min/max reductions — order-independent, hence exactly the
-        per-member ``vertices.min(axis=0)`` / ``.max(axis=0)`` values.
-        """
-        starts = self.offsets[:-1]
-        lowers = np.minimum.reduceat(self.stacked, starts, axis=0)
-        uppers = np.maximum.reduceat(self.stacked, starts, axis=0)
-        return lowers, uppers
-
-    def supports(self, direction) -> np.ndarray:
-        """Per-member support values ``max <direction, x>`` as shape (k,)."""
-        d = np.asarray(direction, dtype=float).reshape(-1)
-        if d.size != self.dim:
-            raise DimensionMismatchError("direction dimension mismatch")
-        dots = self.stacked @ d
-        return np.maximum.reduceat(dots, self.offsets[:-1])
-
-    def coordinate_scale(self) -> float:
-        """``max(1, max |coordinate|)`` over the whole batch (margin scaling)."""
-        return max(float(np.max(np.abs(self.stacked))), 1.0)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -263,13 +132,6 @@ def batch_directed_hausdorff(
     return worst
 
 
-def batch_hausdorff_distance(h1: ConvexPolytope, h2: ConvexPolytope) -> float:
-    """Symmetric ``d_H`` built from the batched directed maximisation."""
-    return max(
-        batch_directed_hausdorff(h1, h2), batch_directed_hausdorff(h2, h1)
-    )
-
-
 def batch_disagreement_diameter(polytopes: Sequence[ConvexPolytope]) -> float:
     """``max_{i,j} d_H(h_i, h_j)`` via batch dedup + pair bound-and-prune.
 
@@ -285,8 +147,8 @@ def batch_disagreement_diameter(polytopes: Sequence[ConvexPolytope]) -> float:
        is assembled from one vectorized all-vertex distance computation
        (the max-min vertex-set Hausdorff distance, which dominates the
        hull distance in both directions);
-    3. pairs are evaluated in decreasing bound order with the *scalar*
-       pair kernel (via :func:`batch_hausdorff_distance`); once bounds
+    3. pairs are evaluated in decreasing bound order with the pair
+       kernel (two :func:`batch_directed_hausdorff` calls); once bounds
        drop :data:`PRUNE_MARGIN` below the best achieved pair value the
        scan stops.
 
@@ -316,11 +178,21 @@ def batch_disagreement_diameter(polytopes: Sequence[ConvexPolytope]) -> float:
                 "directed Hausdorff undefined for empty polytopes"
             )
         return 0.0
+    for poly in reps:
+        if poly.dim != reps[0].dim:
+            raise DimensionMismatchError("polytopes of mixed dimensions")
+        if poly.is_empty:
+            raise EmptyPolytopeError(
+                "directed Hausdorff undefined for empty polytopes"
+            )
 
-    batch = PolytopeBatch(reps)
-    offsets = batch.offsets
+    # Stack the representatives' vertices; member i owns the rows
+    # stacked[offsets[i]:offsets[i + 1]].
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum([p.num_vertices for p in reps], out=offsets[1:])
+    stacked = np.vstack([p.vertices for p in reps])
     # One all-vertices distance matrix serves every pair's bound.
-    dm = _cross_distances(batch.stacked, batch.stacked)
+    dm = _cross_distances(stacked, stacked)
     pair_bounds: list[tuple[float, int, int]] = []
     for i in range(k):
         si, ei = offsets[i], offsets[i + 1]
@@ -333,131 +205,17 @@ def batch_disagreement_diameter(polytopes: Sequence[ConvexPolytope]) -> float:
             )
             pair_bounds.append((ub, i, j))
     pair_bounds.sort(key=lambda t: -t[0])
-    margin = PRUNE_MARGIN * batch.coordinate_scale()
+    margin = PRUNE_MARGIN * max(float(np.max(np.abs(stacked))), 1.0)
     worst = 0.0
     for rank, (ub, i, j) in enumerate(pair_bounds):
         if ub <= worst - margin:
             PERF.batch_hausdorff_pair_prunes += len(pair_bounds) - rank
             break
         PERF.batch_hausdorff_pairs += 1
-        dist = batch_hausdorff_distance(reps[i], reps[j])
+        dist = max(
+            batch_directed_hausdorff(reps[i], reps[j]),
+            batch_directed_hausdorff(reps[j], reps[i]),
+        )
         if dist > worst:
             worst = dist
     return worst
-
-
-# ----------------------------------------------------------------------
-# Batched combinations
-# ----------------------------------------------------------------------
-
-def batch_linear_combination(
-    jobs: Sequence[tuple[Sequence[ConvexPolytope], Sequence[float]]],
-    *,
-    max_intermediate_vertices: int = 100_000,
-) -> list[ConvexPolytope]:
-    """Evaluate many ``L(polytopes; weights)`` jobs with redundancy collapse.
-
-    All processes of one simulated round freeze heavily overlapping — and
-    frequently bit-identical — ``Y_i[t]`` multisets; this entry point maps
-    the whole round's combinations in one call.  Jobs are grouped by the
-    same order-preserving content key the memoization layer uses, each
-    distinct job is computed once by the scalar ``linear_combination``
-    kernel (which itself consults the in-memory and shared caches), and
-    results are fanned back out.  Same-kernel equivalence: every returned
-    polytope is a scalar-kernel output for its exact operands.
-    """
-    from .combination import linear_combination  # deferred: mutual import
-
-    job_list = list(jobs)
-    PERF.batch_combination_jobs += len(job_list)
-    results: list[ConvexPolytope | None] = [None] * len(job_list)
-    computed: dict[tuple, ConvexPolytope] = {}
-    for pos, (polys, weights) in enumerate(job_list):
-        operands = list(polys)
-        w = tuple(float(c) for c in weights)
-        key = (
-            tuple(
-                array_key(p.vertices) if not p.is_empty else "empty"
-                for p in operands
-            ),
-            w,
-        )
-        if key not in computed:
-            computed[key] = linear_combination(
-                operands,
-                list(w),
-                max_intermediate_vertices=max_intermediate_vertices,
-            )
-        results[pos] = computed[key]
-    PERF.batch_combination_unique += len(computed)
-    return results  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# Batched LP feasibility
-# ----------------------------------------------------------------------
-
-def batch_feasibility(
-    systems: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> list[bool]:
-    """Feasibility of many halfspace systems ``{x : A x <= b}`` at once.
-
-    Where solver semantics allow — a single *stacked* LP over the
-    block-diagonal assembly of all systems, one variable block per system
-    and a zero objective — one ``scipy.optimize.linprog`` call answers
-    the whole batch: the stacked program is feasible iff **every** system
-    is feasible, so a success certifies all of them together.  On stacked
-    infeasibility (at least one empty system, but the LP cannot say
-    which) the batch falls back to one feasibility LP per system.
-
-    Systems with no rows are trivially feasible and excluded from the
-    assembly.  The answers are exact LP feasibility verdicts either way;
-    only the number of solver calls changes.
-    """
-    sys_list = [
-        (np.asarray(a, dtype=float), np.asarray(b, dtype=float).reshape(-1))
-        for a, b in systems
-    ]
-    if not sys_list:
-        return []
-    results = [True] * len(sys_list)
-    nontrivial = [
-        idx for idx, (a, _b) in enumerate(sys_list) if a.shape[0] > 0
-    ]
-    if not nontrivial:
-        return results
-
-    if len(nontrivial) > 1:
-        from scipy.sparse import block_diag
-
-        a_stack = block_diag(
-            [sys_list[idx][0] for idx in nontrivial], format="csr"
-        )
-        b_stack = np.concatenate([sys_list[idx][1] for idx in nontrivial])
-        PERF.lp_solves += 1
-        PERF.batch_lp_stacked += 1
-        res = linprog(
-            np.zeros(a_stack.shape[1]),
-            A_ub=a_stack,
-            b_ub=b_stack,
-            bounds=[(None, None)] * a_stack.shape[1],
-            method="highs",
-        )
-        if res.success:
-            return results
-
-    # Per-system fallback (also the single-system path).
-    for idx in nontrivial:
-        a, b = sys_list[idx]
-        PERF.lp_solves += 1
-        if len(nontrivial) > 1:
-            PERF.batch_lp_fallbacks += 1
-        res = linprog(
-            np.zeros(a.shape[1]),
-            A_ub=a,
-            b_ub=b,
-            bounds=[(None, None)] * a.shape[1],
-            method="highs",
-        )
-        results[idx] = bool(res.success)
-    return results

@@ -1,24 +1,25 @@
 """Content-addressed memoization layer for the geometry kernel.
 
 Algorithm CC performs the *same* geometric computations many times per
-execution: every receiver of a round message used to re-hull a vertex set
-the sender had already minimized, all processes sharing a stable-vector
-view compute the identical round-0 subset intersection, and processes
-freezing the same ``Y_i[t]`` multiset compute the identical combination
-``L``.  This module provides the shared machinery that collapses that
+execution: all processes sharing a stable-vector view compute the
+identical round-0 subset intersection, processes freezing the same
+``Y_i[t]`` multiset compute the identical combination ``L``, and every
+receiver of a round message materializes the same broadcast polytope.
+This module provides the shared machinery that collapses that
 redundancy:
 
-* :class:`LruCache` — a bounded, insertion-ordered cache with hit/miss
-  accounting, used by ``hull.py`` / ``halfspaces.py`` / ``intersection.py``
-  / ``combination.py`` / ``polytope.py`` for their memoized entry points;
+* :class:`LruCache` — a bounded, insertion-ordered cache, one per
+  memoized layer: the subset intersection, the combination ``L`` and
+  polytope interning (``polytope.py``);
+* :func:`memoized_polytope` — the one lookup path of the two
+  polytope-valued layers: in-memory LRU, then the on-disk shared cache
+  (:mod:`repro.geometry.shared_cache`, on when ``REPRO_CACHE_DIR`` is
+  set), then the computation itself;
 * content-addressed keys (:func:`array_key`) — a geometry value is keyed
   by the raw bytes of its float64 vertex array, so *results are shared
   if and only if the inputs are bit-identical*.  Every memoized path is
   therefore bit-identical to the unmemoized path by construction: the
   cached value was produced by the very same code on the very same bytes;
-* a global on/off switch (:func:`set_cache_enabled`,
-  :func:`cache_disabled`) for A/B benchmarking — with the switch off,
-  every memoized entry point falls through to its original computation;
 * the :class:`PerfCounters` singleton :data:`PERF` — cheap monotonic
   counters (hull calls, cache hits/misses, LP solves, Minkowski candidate
   counts, depth fast-path routing and candidate-halfspace tallies)
@@ -26,19 +27,16 @@ redundancy:
   :mod:`repro.analysis.perf_counters`, the simulator report, and the
   benchmark harness.
 
-Cached arrays are returned *without copying* and are marked read-only;
-polytopes are immutable by design, so no invalidation story is needed.
-The caches are process-global and not thread-safe (the simulator is a
-single-threaded discrete-event loop).
+Cached polytopes are immutable by design, so no invalidation story is
+needed.  The caches are process-global and not thread-safe (the
+simulator is a single-threaded discrete-event loop).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Hashable, Iterator
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -57,16 +55,10 @@ class PerfCounters:
     """Monotonic counters for the geometry/runtime hot paths.
 
     All fields are plain ints; incrementing one is a single attribute
-    add, cheap enough to leave enabled unconditionally (counting happens
-    with the cache on *or* off, so A/B runs are directly comparable).
+    add, cheap enough to leave enabled unconditionally.
     """
 
     hull_calls: int = 0
-    hull_cache_hits: int = 0
-    hull_cache_misses: int = 0
-    hrep_calls: int = 0
-    hrep_cache_hits: int = 0
-    hrep_cache_misses: int = 0
     subset_intersection_calls: int = 0
     subset_intersection_cache_hits: int = 0
     subset_intersection_cache_misses: int = 0
@@ -81,17 +73,12 @@ class PerfCounters:
     lp_solves: int = 0
     minkowski_pairs: int = 0
     minkowski_candidates: int = 0
-    # Batch-core counters (repro.geometry.batch): pruning effectiveness of
-    # the batched Hausdorff maximisation, redundancy collapse of batched
-    # combinations, and stacked-LP routing of batched feasibility.
+    # Hausdorff bound-and-prune counters (repro.geometry.batch): pairs
+    # evaluated, pairs and vertices pruned, and distinct members after dedup.
     batch_hausdorff_pairs: int = 0
     batch_hausdorff_pair_prunes: int = 0
     batch_hausdorff_vertex_prunes: int = 0
     batch_hausdorff_dedup_groups: int = 0
-    batch_combination_jobs: int = 0
-    batch_combination_unique: int = 0
-    batch_lp_stacked: int = 0
-    batch_lp_fallbacks: int = 0
     # Shared cross-worker cache counters (repro.geometry.shared_cache).
     # Hits are split by provenance: ``local`` entries were written by this
     # very process (an intra-worker hit that the in-memory LRU missed,
@@ -153,48 +140,13 @@ class PerfCounters:
 PERF = PerfCounters()
 
 
-# ----------------------------------------------------------------------
-# Global switch
-# ----------------------------------------------------------------------
-
-_ENABLED = os.environ.get("REPRO_GEOMETRY_CACHE", "1") not in ("0", "false", "off")
-
-
 def cache_enabled() -> bool:
-    """True when the geometry memoization layer is active."""
-    return _ENABLED
+    """Always True: memoization has no off switch.
 
-
-def set_cache_enabled(enabled: bool) -> bool:
-    """Globally enable/disable memoization; returns the previous state.
-
-    Disabling does not clear stored entries — re-enabling resumes with
-    the warm caches.  Use :func:`clear_geometry_caches` for a cold start.
+    Kept only for the benchmark harness (``perfbench/run.py``), which
+    checks it before measuring.
     """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def cache_disabled() -> Iterator[None]:
-    """Context manager: run a block with memoization off (A/B testing)."""
-    previous = set_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_cache_enabled(previous)
-
-
-@contextmanager
-def cache_override(enabled: bool) -> Iterator[None]:
-    """Context manager: force the switch to ``enabled`` within the block."""
-    previous = set_cache_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_cache_enabled(previous)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -206,8 +158,9 @@ class LruCache:
 
     A thin :class:`OrderedDict` wrapper: ``get`` refreshes recency,
     ``put`` evicts the oldest entry beyond ``maxsize``.  Hit/miss
-    accounting is left to the call sites so each memoized primitive can
-    report into its own :class:`PerfCounters` fields.
+    accounting is left to the call sites (:func:`memoized_polytope` and
+    polytope interning), each reporting into its own
+    :class:`PerfCounters` fields.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE, name: str = ""):
@@ -255,10 +208,6 @@ def _register(name: str, maxsize: int = DEFAULT_CACHE_SIZE) -> LruCache:
     return cache
 
 
-#: hull_vertices results: (shape, bytes of deduplicated input) -> vertex array.
-HULL_CACHE = _register("hull")
-#: hrep_of_hull results: (shape, bytes) -> (A, b) read-only arrays.
-HREP_CACHE = _register("hrep")
 #: intersect_subset_hulls results: (shape, bytes, f) -> ConvexPolytope.
 SUBSET_CACHE = _register("subset_intersection")
 #: linear_combination results: (operand keys..., weight bytes) -> ConvexPolytope.
@@ -298,7 +247,50 @@ def array_key(arr: np.ndarray) -> tuple:
     return (arr.shape, arr.tobytes())
 
 
-def freeze_readonly(arr: np.ndarray) -> np.ndarray:
-    """Mark an array read-only before it is shared through a cache."""
-    arr.setflags(write=False)
-    return arr
+# ----------------------------------------------------------------------
+# The memoized lookup path
+# ----------------------------------------------------------------------
+
+def _bump(counter: str) -> None:
+    setattr(PERF, counter, getattr(PERF, counter) + 1)
+
+
+def memoized_polytope(
+    cache: LruCache,
+    key: Hashable,
+    compute: Callable[[], Any],
+    *,
+    op: str,
+    arrays: Sequence[np.ndarray],
+    params: tuple,
+) -> Any:
+    """``compute()``, served from ``cache`` or the on-disk cache when possible.
+
+    The in-memory LRU is consulted under ``key``; on a miss, the shared
+    disk cache (when ``REPRO_CACHE_DIR`` is set) under the content key of
+    ``op``, ``arrays`` and ``params``; only then is ``compute()`` run, and
+    its polytope stored in both.  ``cache.name`` names the counters:
+    ``<name>_calls`` counts every call, ``<name>_cache_hits`` and
+    ``<name>_cache_misses`` the LRU outcome.
+    """
+    from . import shared_cache  # deferred: shared_cache imports PERF from here
+
+    name = cache.name
+    _bump(f"{name}_calls")
+    cached = cache.get(key)
+    if cached is not None:
+        _bump(f"{name}_cache_hits")
+        return cached
+    _bump(f"{name}_cache_misses")
+    disk_key: str | None = None
+    if shared_cache.shared_cache_enabled():
+        disk_key = shared_cache.content_key(op, arrays, params=params)
+        from_disk = shared_cache.load_polytope(disk_key)
+        if from_disk is not None:
+            cache.put(key, from_disk)
+            return from_disk
+    result = compute()
+    cache.put(key, result)
+    if disk_key is not None:
+        shared_cache.store_polytope(disk_key, result)
+    return result

@@ -12,14 +12,11 @@ convex function attains its maximum over a polytope at an extreme point.
 So the exact Hausdorff distance reduces to finitely many point-to-polytope
 projections, which :mod:`repro.geometry.projection` solves.
 
-The public entry points dispatch to the batch core
-(:mod:`repro.geometry.batch`) when ``REPRO_GEOMETRY_BATCH`` is on (the
-default): the batched maximisation computes certified per-candidate upper
-bounds in one vectorized pass and runs the scalar projection kernel only
-on candidates that can still attain the maximum.  The scalar exhaustive
-loops stay here as the ``*_scalar`` oracles the property suites compare
-against; both paths return bit-identical floats (see the batch module's
-equivalence contract).
+The entry points run the bound-and-prune kernels of
+:mod:`repro.geometry.batch`: certified per-candidate upper bounds in one
+vectorized pass, and the projection kernel only on candidates that can
+still attain the maximum.  They return the same floats as the exhaustive
+scan (see that module's equivalence contract).
 """
 
 from __future__ import annotations
@@ -28,34 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import (
-    batch_directed_hausdorff,
-    batch_disagreement_diameter,
-    batch_enabled,
-)
+from .batch import batch_directed_hausdorff, batch_disagreement_diameter
 from .errors import DimensionMismatchError, EmptyPolytopeError
 from .polytope import ConvexPolytope
-from .projection import project_onto_hull
-
-
-def directed_hausdorff_scalar(
-    source: ConvexPolytope, target: ConvexPolytope
-) -> float:
-    """Scalar oracle: exhaustive per-vertex maximisation (pre-batch path)."""
-    if source.dim != target.dim:
-        raise DimensionMismatchError(
-            f"polytope dims differ: {source.dim} vs {target.dim}"
-        )
-    if source.is_empty or target.is_empty:
-        raise EmptyPolytopeError("directed Hausdorff undefined for empty polytopes")
-    worst = 0.0
-    target_vertices = target.vertices
-    for vertex in source.vertices:
-        projection, _ = project_onto_hull(vertex, target_vertices)
-        dist = float(np.linalg.norm(projection - vertex))
-        if dist > worst:
-            worst = dist
-    return worst
 
 
 def directed_hausdorff(source: ConvexPolytope, target: ConvexPolytope) -> float:
@@ -65,33 +37,12 @@ def directed_hausdorff(source: ConvexPolytope, target: ConvexPolytope) -> float:
     convex ``source`` of the convex distance-to-``target`` function is
     attained at one of ``source``'s vertices.
     """
-    if batch_enabled():
-        return batch_directed_hausdorff(source, target)
-    return directed_hausdorff_scalar(source, target)
-
-
-def hausdorff_distance_scalar(h1: ConvexPolytope, h2: ConvexPolytope) -> float:
-    """Scalar oracle for the symmetric distance."""
-    return max(
-        directed_hausdorff_scalar(h1, h2), directed_hausdorff_scalar(h2, h1)
-    )
+    return batch_directed_hausdorff(source, target)
 
 
 def hausdorff_distance(h1: ConvexPolytope, h2: ConvexPolytope) -> float:
     """Symmetric Hausdorff distance ``d_H`` of Eq. (1)."""
     return max(directed_hausdorff(h1, h2), directed_hausdorff(h2, h1))
-
-
-def disagreement_diameter_scalar(polytopes: Sequence[ConvexPolytope]) -> float:
-    """Scalar oracle: exhaustive all-pairs scan (pre-batch path)."""
-    polys = list(polytopes)
-    worst = 0.0
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            dist = hausdorff_distance_scalar(polys[i], polys[j])
-            if dist > worst:
-                worst = dist
-    return worst
 
 
 def disagreement_diameter(polytopes: Sequence[ConvexPolytope]) -> float:
@@ -100,9 +51,7 @@ def disagreement_diameter(polytopes: Sequence[ConvexPolytope]) -> float:
     This is the per-round metric experiment E1 tracks against the paper's
     ``(1 - 1/n)^t * Omega`` envelope (Eq. 18).
     """
-    if batch_enabled():
-        return batch_disagreement_diameter(polytopes)
-    return disagreement_diameter_scalar(polytopes)
+    return batch_disagreement_diameter(polytopes)
 
 
 def hausdorff_to_point(poly: ConvexPolytope, point) -> float:

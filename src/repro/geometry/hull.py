@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cache import HULL_CACHE, PERF, array_key, cache_enabled, freeze_readonly
+from .cache import PERF
 from .errors import HullComputationError
 from .linalg import affine_chart, as_points_array, deduplicate_points
 from .tolerances import ABS_TOL, RANK_TOL
@@ -144,28 +144,9 @@ def hull_vertices(points, rank_tol: float = RANK_TOL) -> np.ndarray:
     Degenerate inputs (affine dimension below ambient dimension) are handled
     by recursing into an isometric chart of the affine hull.  The output for
     an empty input is an empty ``(0, d)`` array.
-
-    Results are memoized by the content of the (deduplicated) input array
-    (see :mod:`repro.geometry.cache`); cached results are shared read-only
-    arrays.  Non-default ``rank_tol`` calls bypass the cache.
     """
     PERF.hull_calls += 1
     pts = deduplicate_points(as_points_array(points))
-    if cache_enabled() and rank_tol == RANK_TOL:
-        key = array_key(pts)
-        cached = HULL_CACHE.get(key)
-        if cached is not None:
-            PERF.hull_cache_hits += 1
-            return cached
-        PERF.hull_cache_misses += 1
-        out = freeze_readonly(_hull_vertices_uncached(pts, rank_tol))
-        HULL_CACHE.put(key, out)
-        return out
-    return _hull_vertices_uncached(pts, rank_tol)
-
-
-def _hull_vertices_uncached(pts: np.ndarray, rank_tol: float) -> np.ndarray:
-    """The actual hull computation on an already-deduplicated array."""
     m, d = pts.shape if pts.size else (0, pts.shape[1] if pts.ndim == 2 else 0)
     if m == 0:
         return pts.copy()

@@ -30,32 +30,26 @@ Implementation notes
   (with degenerate hulls contributing affine-hull equality pairs, see
   :func:`repro.geometry.halfspaces.hrep_of_hull`); the stacked system is
   deduplicated and handed to the same vertex enumerator.  Cost
-  ``C(m, f)`` hull computations — the literal transcription of line 5,
-  kept as a selectable oracle.
-* Routing: ``REPRO_SUBSET_MODE=auto`` (default) takes the depth path
-  whenever ``C(m, f) > C(m, d)``; ``depth`` / ``enumerate`` force one
-  path for A/B runs and oracle cross-checks (:func:`set_subset_mode`,
-  :func:`subset_mode_override`).  ``f = 0`` short circuits to the plain
-  hull, and rank-deficient multisets are chart-projected before either
-  path runs, so both only ever see full-dimensional inputs.
-* Cross-validation: the property-based suites check the two paths against
-  each other and against the independent point-probe depth oracle on
-  random, duplicate-heavy, and rank-deficient multisets in d = 1, 2, 3.
+  ``C(m, f)`` hull computations — the literal transcription of line 5.
+* Routing: :func:`_takes_depth_path` is the one router — the depth path
+  exactly when ``C(m, f) > C(m, d)``, the enumeration otherwise.
+  ``f = 0`` short circuits to the plain hull, and rank-deficient
+  multisets are chart-projected before either path runs, so both only
+  ever see full-dimensional inputs.
+* Cross-validation: the property-based suites force each path (by
+  patching the router) and check them against each other and against
+  the independent point-probe depth oracle on random, duplicate-heavy,
+  rank-deficient and translated multisets in d = 1, 2, 3.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
 from itertools import combinations, islice
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
-from . import shared_cache
-from .cache import PERF, SUBSET_CACHE, array_key, cache_enabled
+from .cache import PERF, SUBSET_CACHE, array_key, memoized_polytope
 from .errors import DegenerateInputError, InfeasibleRegionError
 from .halfspaces import (
     dedupe_halfspaces,
@@ -73,85 +67,23 @@ def subset_count(m: int, f: int) -> int:
     return comb(m, f)
 
 
-# ----------------------------------------------------------------------
-# Path selection (auto / depth / enumerate)
-# ----------------------------------------------------------------------
-
-_SUBSET_MODES = ("auto", "depth", "enumerate")
-
-
-def _normalize_mode(mode: str) -> str:
-    if mode not in _SUBSET_MODES:
-        raise ValueError(
-            f"subset mode must be one of {_SUBSET_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-def _mode_from_env() -> str:
-    raw = os.environ.get("REPRO_SUBSET_MODE", "auto")
-    if raw not in _SUBSET_MODES:
-        warnings.warn(
-            f"ignoring invalid REPRO_SUBSET_MODE={raw!r} "
-            f"(expected one of {_SUBSET_MODES}); using 'auto'",
-            stacklevel=2,
-        )
-        return "auto"
-    return raw
-
-
-_ENV_RAW = os.environ.get("REPRO_SUBSET_MODE")
-_SUBSET_MODE = _mode_from_env()
-
-
 def subset_mode() -> str:
-    """The active subset-intersection path: ``auto``/``depth``/``enumerate``.
+    """Always ``"auto"``: the cost rule is the only router.
 
-    ``REPRO_SUBSET_MODE`` is re-read on every call, so changing (or
-    unsetting) the variable at runtime takes effect immediately and —
-    like :func:`set_subset_mode` — clears the subset-intersection cache,
-    keeping A/B harnesses that flip the env var between arms from being
-    served entries computed under the other path.  A mode selected with
-    :func:`set_subset_mode` stays in force until the env var *changes
-    again*; an unchanged env var never overrides it.
+    Kept only for the benchmark harness (``perfbench/run.py``), which
+    checks it before measuring.
     """
-    global _ENV_RAW, _SUBSET_MODE
-    raw = os.environ.get("REPRO_SUBSET_MODE")
-    if raw != _ENV_RAW:
-        _ENV_RAW = raw
-        mode = _mode_from_env()
-        if mode != _SUBSET_MODE:
-            _SUBSET_MODE = mode
-            SUBSET_CACHE.clear()
-    return _SUBSET_MODE
+    return "auto"
 
 
-def set_subset_mode(mode: str) -> str:
-    """Select the subset-intersection path; returns the previous mode.
-
-    ``auto`` routes each call by the cost rule ``C(m, f) > C(m, d)``;
-    ``depth`` / ``enumerate`` force the fast path or the literal line-5
-    enumeration (the oracle).  Changing the mode clears the subset-
-    intersection cache: its key is ``(points bytes, f)``, shared across
-    paths, and entries computed under another mode must not be served to
-    an A/B arm expecting this one.
-    """
-    global _SUBSET_MODE
-    previous = _SUBSET_MODE
-    _SUBSET_MODE = _normalize_mode(mode)
-    if _SUBSET_MODE != previous:
-        SUBSET_CACHE.clear()
-    return previous
+def _takes_depth_path(m: int, f: int, dim: int) -> bool:
+    """The cost rule: the depth path exactly when ``C(m, f) > C(m, d)``."""
+    return comb(m, f) > comb(m, dim)
 
 
-@contextmanager
-def subset_mode_override(mode: str) -> Iterator[None]:
-    """Context manager: force the subset path to ``mode`` within the block."""
-    previous = set_subset_mode(mode)
-    try:
-        yield
-    finally:
-        set_subset_mode(previous)
+def _check_f(f: int) -> None:
+    if f < 0:
+        raise ValueError(f"f must be non-negative, got {f}")
 
 
 # ----------------------------------------------------------------------
@@ -280,16 +212,46 @@ def _intersect_subsets_1d(values: np.ndarray, f: int) -> ConvexPolytope:
     return ConvexPolytope.from_interval(lo, hi)
 
 
+def _polytope_of_system(a: np.ndarray, b: np.ndarray, dim: int) -> ConvexPolytope:
+    """The polytope ``{x : A x <= b}``, empty when the system is infeasible."""
+    vertices = vertices_of_halfspace_system(a, b)
+    if vertices.shape[0] == 0:
+        return ConvexPolytope.empty(dim)
+    return ConvexPolytope.from_points(vertices, dim=dim)
+
+
+def _stacked_hreps(vertex_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicated union of the H-reps of ``conv(V)`` over ``vertex_sets``."""
+    rows = []
+    offs = []
+    for verts in vertex_sets:
+        a, b = hrep_of_hull(verts)
+        rows.append(a)
+        offs.append(b)
+    return dedupe_halfspaces(np.vstack(rows), np.concatenate(offs))
+
+
+def _enumeration_halfspaces(pts: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Line 5 literally: the stacked H-reps of all ``C(m, f)`` subset hulls."""
+    return _stacked_hreps(
+        np.delete(pts, list(drop), axis=0)
+        for drop in combinations(range(pts.shape[0]), f)
+    )
+
+
 def _intersect_subsets_depth(
     pts: np.ndarray, dim: int, f: int
 ) -> ConvexPolytope:
     """Depth fast path: the intersection as the depth >= f+1 region."""
     PERF.subset_fast_path_hits += 1
-    a, b = depth_region_halfspaces(pts, f)
-    vertices = vertices_of_halfspace_system(a, b)
-    if vertices.shape[0] == 0:
-        return ConvexPolytope.empty(dim)
-    return ConvexPolytope.from_points(vertices, dim=dim)
+    return _polytope_of_system(*depth_region_halfspaces(pts, f), dim)
+
+
+def _intersect_subsets_enumerate(
+    pts: np.ndarray, dim: int, f: int
+) -> ConvexPolytope:
+    """Enumeration path: the intersection of the ``C(m, f)`` subset hulls."""
+    return _polytope_of_system(*_enumeration_halfspaces(pts, f), dim)
 
 
 def intersect_hulls(vertex_sets: list[np.ndarray], dim: int) -> ConvexPolytope:
@@ -300,19 +262,7 @@ def intersect_hulls(vertex_sets: list[np.ndarray], dim: int) -> ConvexPolytope:
     """
     if not vertex_sets:
         raise ValueError("intersect_hulls requires at least one hull")
-    rows = []
-    offs = []
-    for verts in vertex_sets:
-        a, b = hrep_of_hull(verts)
-        rows.append(a)
-        offs.append(b)
-    a_all = np.vstack(rows)
-    b_all = np.concatenate(offs)
-    a_all, b_all = dedupe_halfspaces(a_all, b_all)
-    vertices = vertices_of_halfspace_system(a_all, b_all)
-    if vertices.shape[0] == 0:
-        return ConvexPolytope.empty(dim)
-    return ConvexPolytope.from_points(vertices, dim=dim)
+    return _polytope_of_system(*_stacked_hreps(vertex_sets), dim)
 
 
 def intersect_subset_hulls(points, f: int) -> ConvexPolytope:
@@ -320,7 +270,8 @@ def intersect_subset_hulls(points, f: int) -> ConvexPolytope:
 
     ``points`` is the multiset ``X_i`` (duplicates meaningful: a value
     reported by several processes is harder for the adversary to discard).
-    ``f`` is the fault bound.  Raises ``ValueError`` when ``m - f < 1``.
+    ``f`` is the fault bound.  Raises ``ValueError`` when ``f < 0`` or
+    ``m - f < 1``.
 
     The full result is memoized by ``(points bytes, f)``: processes whose
     stable-vector views coincide (the common case — Containment forces
@@ -328,45 +279,23 @@ def intersect_subset_hulls(points, f: int) -> ConvexPolytope:
     geometric computation then runs once per run instead of once per
     process.  The returned polytope is immutable and safely shared.
     Which computation runs — the ``C(m, f)``-hull enumeration or the
-    polynomial depth fast path — is decided per call by
-    :func:`subset_mode`; :func:`set_subset_mode` clears this cache, so a
-    cached entry always comes from the currently selected path.
+    polynomial depth fast path — is decided by :func:`_takes_depth_path`.
     """
     pts = as_points_array(points)
     m, dim = pts.shape
-    if f < 0:
-        raise ValueError(f"f must be non-negative, got {f}")
+    _check_f(f)
     if m - f < 1:
         raise ValueError(
             f"cannot drop f={f} points from a multiset of size {m}"
         )
-    PERF.subset_intersection_calls += 1
-    if cache_enabled():
-        key = (array_key(pts), f)
-        cached = SUBSET_CACHE.get(key)
-        if cached is not None:
-            PERF.subset_intersection_cache_hits += 1
-            return cached
-        PERF.subset_intersection_cache_misses += 1
-        # In-memory miss: consult the shared cross-worker cache.  The
-        # active subset mode is part of the disk key — the depth and
-        # enumeration paths agree geometrically but not bit-for-bit, so
-        # A/B runs flipping REPRO_SUBSET_MODE must not share entries.
-        disk_key: str | None = None
-        if shared_cache.shared_cache_enabled():
-            disk_key = shared_cache.content_key(
-                "intersect_subset_hulls", [pts], params=(f, subset_mode())
-            )
-            from_disk = shared_cache.load_polytope(disk_key)
-            if from_disk is not None:
-                SUBSET_CACHE.put(key, from_disk)
-                return from_disk
-        result = _intersect_subset_hulls_uncached(pts, m, dim, f)
-        SUBSET_CACHE.put(key, result)
-        if disk_key is not None:
-            shared_cache.store_polytope(disk_key, result)
-        return result
-    return _intersect_subset_hulls_uncached(pts, m, dim, f)
+    return memoized_polytope(
+        SUBSET_CACHE,
+        (array_key(pts), f),
+        lambda: _intersect_subset_hulls_uncached(pts, m, dim, f),
+        op="intersect_subset_hulls",
+        arrays=[pts],
+        params=(f,),
+    )
 
 
 def _intersect_subset_hulls_uncached(
@@ -392,15 +321,9 @@ def _intersect_subset_hulls_uncached(
             chart.to_ambient(local_poly.vertices), dim=dim
         )
 
-    mode = subset_mode()
-    if mode == "depth" or (mode == "auto" and comb(m, f) > comb(m, dim)):
+    if _takes_depth_path(m, f, dim):
         return _intersect_subsets_depth(pts, dim, f)
-
-    vertex_sets = [
-        np.delete(pts, list(drop), axis=0)
-        for drop in combinations(range(m), f)
-    ]
-    return intersect_hulls(vertex_sets, dim)
+    return _intersect_subsets_enumerate(pts, dim, f)
 
 
 def subset_intersection_is_nonempty(
@@ -418,12 +341,11 @@ def subset_intersection_is_nonempty(
     computation).  Below the guarantee, a single feasibility LP is solved
     over either the ``O(C(m, d))`` depth candidate halfspaces or the
     ``C(m, f)`` stacked subset H-reps, routed by the same rule as
-    :func:`intersect_subset_hulls`: ``auto`` takes the depth path exactly
-    when ``C(m, f) > C(m, d)``, and ``REPRO_SUBSET_MODE=depth`` /
-    ``enumerate`` force one path.
+    :func:`intersect_subset_hulls`.  Raises ``ValueError`` when ``f < 0``.
     """
     pts = as_points_array(points)
     m, dim = pts.shape
+    _check_f(f)
     if m - f < 1:
         return False
     if f == 0:
@@ -441,17 +363,11 @@ def subset_intersection_is_nonempty(
         return subset_intersection_is_nonempty(
             chart.to_local(pts), f, use_tverberg_shortcut=use_tverberg_shortcut
         )
-    mode = subset_mode()
-    if mode == "enumerate" or (mode == "auto" and comb(m, f) <= comb(m, dim)):
-        rows, offs = [], []
-        for drop in combinations(range(m), f):
-            a, b = hrep_of_hull(np.delete(pts, list(drop), axis=0))
-            rows.append(a)
-            offs.append(b)
-        a_all, b_all = dedupe_halfspaces(np.vstack(rows), np.concatenate(offs))
-    else:
+    if _takes_depth_path(m, f, dim):
         PERF.subset_fast_path_hits += 1
         a_all, b_all = depth_region_halfspaces(pts, f)
+    else:
+        a_all, b_all = _enumeration_halfspaces(pts, f)
     try:
         feasible_point(a_all, b_all)
     except InfeasibleRegionError:

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cache import POLYTOPE_CACHE, PERF, array_key, cache_enabled
+from .cache import POLYTOPE_CACHE, PERF, array_key
 from .errors import DimensionMismatchError, EmptyPolytopeError
 from .hull import hull_vertices
 from .linalg import affine_chart, affine_rank, as_points_array
@@ -76,19 +76,17 @@ class ConvexPolytope:
 
         The caller asserts the vertex set is minimal (e.g. it is the
         ``vertices`` array of an existing polytope, as in Algorithm CC's
-        round messages, which always carry ``h_i[t-1].vertices``).  With
-        caching on, bit-identical vertex sets return one shared immutable
-        instance — a broadcast polytope is materialized once per run
-        instead of once per receiver, and its lazily cached H-rep /
-        derived properties are shared by every receiver.
+        round messages, which always carry ``h_i[t-1].vertices``).
+        Bit-identical vertex sets return one shared immutable instance —
+        a broadcast polytope is materialized once per run instead of once
+        per receiver, and its lazily cached H-rep / derived properties
+        are shared by every receiver.
         """
         arr = np.asarray(vertices, dtype=float)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, dim or 0)
         if dim is None:
             dim = arr.shape[1]
-        if not cache_enabled():
-            return cls(arr, dim, _trusted=True)
         key = (dim, array_key(arr))
         cached = POLYTOPE_CACHE.get(key)
         if cached is not None:

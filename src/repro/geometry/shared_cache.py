@@ -42,9 +42,8 @@ conflated "hit rate 1.0" the per-worker LRU counters showed.
 What is cached here
 -------------------
 Only results that are expensive to recompute relative to ~1 ms of disk
-I/O: ``linear_combination`` outputs, ``intersect_subset_hulls`` outputs,
-and directed-Hausdorff pair distances from the batched maximisation.
-Cheap primitives (single hulls, H-reps) stay in-memory only.
+I/O: ``linear_combination`` and ``intersect_subset_hulls`` outputs, both
+looked up through :func:`repro.geometry.cache.memoized_polytope`.
 """
 
 from __future__ import annotations

@@ -1,30 +1,26 @@
-"""Unit tests for the batch geometry core (repro.geometry.batch)."""
+"""Unit tests for the Hausdorff bound-and-prune kernels (repro.geometry.batch)."""
 
 import numpy as np
 import pytest
 
 from repro.geometry.batch import (
-    PolytopeBatch,
     batch_directed_hausdorff,
     batch_disagreement_diameter,
     batch_enabled,
-    batch_feasibility,
-    batch_hausdorff_distance,
-    batch_linear_combination,
-    batch_override,
-    set_batch_enabled,
 )
 from repro.geometry.cache import PERF
-from repro.geometry.combination import linear_combination
 from repro.geometry.errors import DimensionMismatchError, EmptyPolytopeError
 from repro.geometry.hausdorff import (
     directed_hausdorff,
-    directed_hausdorff_scalar,
     disagreement_diameter,
+    hausdorff_distance,
+)
+from repro.geometry.polytope import ConvexPolytope
+from tests.oracles.hausdorff import (
+    directed_hausdorff_scalar,
     disagreement_diameter_scalar,
     hausdorff_distance_scalar,
 )
-from repro.geometry.polytope import ConvexPolytope
 
 
 def square(offset=(0.0, 0.0), side=1.0):
@@ -44,76 +40,10 @@ def random_polys(k, d, seed, verts=10):
 
 class TestSwitch:
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GEOMETRY_BATCH", raising=False)
-        set_batch_enabled(None)
-        assert batch_enabled()
-
-    def test_env_off_values(self, monkeypatch):
-        set_batch_enabled(None)
-        for value in ("0", "false", "off"):
-            monkeypatch.setenv("REPRO_GEOMETRY_BATCH", value)
-            assert not batch_enabled()
-        monkeypatch.setenv("REPRO_GEOMETRY_BATCH", "1")
-        assert batch_enabled()
-
-    def test_override_wins_and_restores(self, monkeypatch):
+        # The harness's switch check: the kernels have no off setting,
+        # and the retired REPRO_GEOMETRY_BATCH variable is not read.
         monkeypatch.setenv("REPRO_GEOMETRY_BATCH", "0")
-        set_batch_enabled(None)
-        assert not batch_enabled()
-        with batch_override(True):
-            assert batch_enabled()
-        assert not batch_enabled()
-
-    def test_set_returns_previous(self):
-        prev = set_batch_enabled(True)
-        try:
-            assert set_batch_enabled(False) is True
-        finally:
-            set_batch_enabled(prev)
-
-
-class TestPolytopeBatch:
-    def test_segments_roundtrip(self):
-        polys = random_polys(5, 3, seed=0)
-        batch = PolytopeBatch(polys)
-        assert len(batch) == 5
-        assert batch.dim == 3
-        assert batch.offsets[0] == 0
-        assert batch.offsets[-1] == batch.stacked.shape[0]
-        for i, poly in enumerate(polys):
-            assert batch.member(i) is poly
-            assert np.array_equal(batch.segment(i), poly.vertices)
-        assert np.array_equal(
-            batch.vertex_counts, [p.num_vertices for p in polys]
-        )
-
-    def test_bounding_boxes_match_members(self):
-        polys = random_polys(4, 2, seed=1)
-        lowers, uppers = PolytopeBatch(polys).bounding_boxes()
-        for i, poly in enumerate(polys):
-            assert np.array_equal(lowers[i], poly.vertices.min(axis=0))
-            assert np.array_equal(uppers[i], poly.vertices.max(axis=0))
-
-    def test_supports_match_members(self):
-        polys = random_polys(4, 3, seed=2)
-        batch = PolytopeBatch(polys)
-        direction = np.array([1.0, -2.0, 0.5])
-        sup = batch.supports(direction)
-        for i, poly in enumerate(polys):
-            assert sup[i] == (poly.vertices @ direction).max()
-
-    def test_rejects_empty_and_mixed_dims(self):
-        with pytest.raises(ValueError):
-            PolytopeBatch([])
-        with pytest.raises(EmptyPolytopeError):
-            PolytopeBatch([square(), ConvexPolytope.empty(2)])
-        with pytest.raises(DimensionMismatchError):
-            PolytopeBatch([square(), ConvexPolytope.from_interval(0, 1)])
-
-    def test_supports_dimension_mismatch(self):
-        batch = PolytopeBatch([square()])
-        with pytest.raises(DimensionMismatchError):
-            batch.supports([1.0, 0.0, 0.0])
+        assert batch_enabled()
 
 
 class TestBatchHausdorff:
@@ -123,7 +53,7 @@ class TestBatchHausdorff:
         assert batch_directed_hausdorff(a, b) == 0.0
 
     def test_translation_exact(self):
-        assert batch_hausdorff_distance(
+        assert hausdorff_distance(
             square(), square(offset=(0.0, 3.0))
         ) == hausdorff_distance_scalar(square(), square(offset=(0.0, 3.0)))
 
@@ -157,71 +87,16 @@ class TestBatchHausdorff:
                 [ConvexPolytope.empty(2), ConvexPolytope.empty(2)]
             )
 
-    def test_dispatch_routes_by_switch(self):
-        a, b = random_polys(2, 2, seed=4)
-        with batch_override(True):
-            routed = directed_hausdorff(a, b)
-        with batch_override(False):
-            scalar = directed_hausdorff(a, b)
-        assert routed == scalar == directed_hausdorff_scalar(a, b)
-        with batch_override(True):
-            assert disagreement_diameter([a, b]) == disagreement_diameter_scalar(
-                [a, b]
+    def test_diameter_with_mixed_dims_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            batch_disagreement_diameter(
+                [square(), ConvexPolytope.from_interval(0, 1)]
             )
 
-
-class TestBatchCombination:
-    def test_dedup_and_fanout(self):
-        polys = random_polys(4, 2, seed=5)
-        jobs = [
-            (polys[:2], [0.5, 0.5]),
-            (polys[:2], [0.5, 0.5]),  # duplicate job
-            (polys[2:], [0.25, 0.75]),
-        ]
-        before_unique = PERF.batch_combination_unique
-        out = batch_linear_combination(jobs)
-        assert PERF.batch_combination_unique - before_unique == 2
-        assert out[0] is out[1]
-        ref = linear_combination(polys[:2], [0.5, 0.5])
-        assert np.array_equal(out[0].vertices, ref.vertices)
-        ref2 = linear_combination(polys[2:], [0.25, 0.75])
-        assert np.array_equal(out[2].vertices, ref2.vertices)
-
-    def test_empty_job_list(self):
-        assert batch_linear_combination([]) == []
-
-
-class TestBatchFeasibility:
-    def _box(self, d, half=1.0):
-        """{|x_i| <= half}: A x <= b with 2d rows."""
-        a = np.vstack([np.eye(d), -np.eye(d)])
-        b = np.full(2 * d, half)
-        return a, b
-
-    def _infeasible(self, d):
-        """x_0 <= -1 and -x_0 <= -1 (x_0 >= 1): empty."""
-        a = np.zeros((2, d))
-        a[0, 0] = 1.0
-        a[1, 0] = -1.0
-        return a, np.array([-1.0, -1.0])
-
-    def test_all_feasible_uses_one_stacked_lp(self):
-        before = PERF.batch_lp_stacked
-        res = batch_feasibility([self._box(3) for _ in range(5)])
-        assert res == [True] * 5
-        assert PERF.batch_lp_stacked == before + 1
-
-    def test_mixed_falls_back_per_system(self):
-        systems = [self._box(2), self._infeasible(2), self._box(2)]
-        before = PERF.batch_lp_fallbacks
-        res = batch_feasibility(systems)
-        assert res == [True, False, True]
-        assert PERF.batch_lp_fallbacks > before
-
-    def test_trivial_and_empty_inputs(self):
-        assert batch_feasibility([]) == []
-        assert batch_feasibility([(np.zeros((0, 3)), np.zeros(0))]) == [True]
-
-    def test_single_system(self):
-        assert batch_feasibility([self._infeasible(2)]) == [False]
-        assert batch_feasibility([self._box(2)]) == [True]
+    def test_public_entry_points_match_oracles(self):
+        a, b = random_polys(2, 2, seed=4)
+        assert directed_hausdorff(a, b) == directed_hausdorff_scalar(a, b)
+        assert hausdorff_distance(a, b) == hausdorff_distance_scalar(a, b)
+        assert disagreement_diameter([a, b]) == disagreement_diameter_scalar(
+            [a, b]
+        )

@@ -1,9 +1,8 @@
 """Unit tests for the geometry memoization layer (cache.py).
 
-Covers the LRU mechanics, the global on/off switch, polytope interning,
-counter accounting, and the read-only discipline of shared arrays — the
-machinery the memoized primitives in hull/halfspaces/intersection/
-combination rely on.
+Covers the LRU mechanics, the shared lookup path of the memoized
+primitives (subset intersection and combination), polytope interning,
+counter accounting, and the read-only discipline of shared results.
 """
 
 import numpy as np
@@ -11,34 +10,25 @@ import pytest
 
 from repro.geometry.cache import (
     COMBINATION_CACHE,
-    HREP_CACHE,
-    HULL_CACHE,
     PERF,
     POLYTOPE_CACHE,
     SUBSET_CACHE,
     LruCache,
     array_key,
-    cache_disabled,
-    cache_enabled,
-    cache_override,
     cache_stats,
     clear_geometry_caches,
-    freeze_readonly,
-    set_cache_enabled,
 )
-from repro.geometry.halfspaces import hrep_of_hull
-from repro.geometry.hull import hull_vertices
+from repro.geometry.combination import linear_combination
+from repro.geometry.intersection import intersect_subset_hulls
 from repro.geometry.polytope import ConvexPolytope
 
 
 @pytest.fixture(autouse=True)
-def _cold_enabled_cache():
-    """Each test starts with cold caches and memoization on."""
-    previous = set_cache_enabled(True)
+def _cold_cache():
+    """Each test starts with cold caches."""
     clear_geometry_caches()
     yield
     clear_geometry_caches()
-    set_cache_enabled(previous)
 
 
 class TestLruCache:
@@ -93,73 +83,44 @@ class TestLruCache:
             LruCache(maxsize=0)
 
 
-class TestGlobalSwitch:
-    def test_set_returns_previous(self):
-        assert set_cache_enabled(False) is True
-        assert cache_enabled() is False
-        assert set_cache_enabled(True) is False
-        assert cache_enabled() is True
-
-    def test_cache_disabled_context_restores(self):
-        assert cache_enabled()
-        with cache_disabled():
-            assert not cache_enabled()
-            with cache_disabled():  # reentrant
-                assert not cache_enabled()
-            assert not cache_enabled()
-        assert cache_enabled()
-
-    def test_cache_override_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with cache_override(False):
-                raise RuntimeError("boom")
-        assert cache_enabled()
-
-    def test_disabled_hull_does_not_populate_cache(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])
-        with cache_disabled():
-            hull_vertices(pts)
-        assert len(HULL_CACHE) == 0
-        hull_vertices(pts)
-        assert len(HULL_CACHE) == 1
-
-
 class TestMemoizedPrimitives:
-    def test_hull_second_call_hits(self):
-        pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
+    def test_subset_second_call_hits(self):
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 0.5]])
         before = PERF.snapshot()
-        first = hull_vertices(pts)
-        second = hull_vertices(pts.copy())  # same bytes, different object
+        first = intersect_subset_hulls(pts, 1)
+        second = intersect_subset_hulls(pts.copy(), 1)  # same bytes, new object
         delta = PERF.diff(before)
-        assert delta["hull_calls"] == 2
-        assert delta["hull_cache_misses"] == 1
-        assert delta["hull_cache_hits"] == 1
-        assert first is second  # the shared cached array, not a copy
+        assert delta["subset_intersection_calls"] == 2
+        assert delta["subset_intersection_cache_misses"] == 1
+        assert delta["subset_intersection_cache_hits"] == 1
+        assert first is second  # the shared cached polytope, not a copy
 
-    def test_hrep_second_call_hits(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    def test_combination_second_call_hits(self):
+        square = ConvexPolytope.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        tri = ConvexPolytope.from_points([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
         before = PERF.snapshot()
-        a1, b1 = hrep_of_hull(pts)
-        a2, b2 = hrep_of_hull(pts.copy())
+        first = linear_combination([square, tri], [0.5, 0.5])
+        second = linear_combination([square, tri], [0.5, 0.5])
         delta = PERF.diff(before)
-        assert delta["hrep_cache_hits"] == 1
-        assert a1 is a2 and b1 is b2
+        assert delta["combination_calls"] == 2
+        assert delta["combination_cache_hits"] == 1
+        assert first is second
 
     def test_cached_arrays_are_readonly(self):
-        pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
-        out = hull_vertices(pts)
-        hit = hull_vertices(pts)
-        assert not hit.flags.writeable
+        pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0], [1.0, 1.0]])
+        intersect_subset_hulls(pts, 1)
+        hit = intersect_subset_hulls(pts, 1)
+        assert not hit.vertices.flags.writeable
         with pytest.raises(ValueError):
-            out[0, 0] = 99.0
+            hit.vertices[0, 0] = 99.0
 
     def test_different_bytes_different_entries(self):
-        a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.2]])
         b = a + 1e-12  # different bits -> different key, no false sharing
-        hull_vertices(a)
+        intersect_subset_hulls(a, 1)
         before = PERF.snapshot()
-        hull_vertices(b)
-        assert PERF.diff(before)["hull_cache_misses"] == 1
+        intersect_subset_hulls(b, 1)
+        assert PERF.diff(before)["subset_intersection_cache_misses"] == 1
 
 
 class TestPolytopeInterning:
@@ -168,14 +129,6 @@ class TestPolytopeInterning:
         p1 = ConvexPolytope.from_trusted_vertices(verts, dim=2)
         p2 = ConvexPolytope.from_trusted_vertices(verts.copy(), dim=2)
         assert p1 is p2
-
-    def test_interning_off_when_disabled(self):
-        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with cache_disabled():
-            p1 = ConvexPolytope.from_trusted_vertices(verts, dim=2)
-            p2 = ConvexPolytope.from_trusted_vertices(verts, dim=2)
-        assert p1 is not p2
-        np.testing.assert_array_equal(p1.vertices, p2.vertices)
 
     def test_trusted_matches_from_points_on_minimal_input(self):
         verts = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
@@ -189,24 +142,21 @@ class TestPolytopeInterning:
 class TestStatsAndKeys:
     def test_registry_covers_all_caches(self):
         stats = cache_stats()
-        assert set(stats) == {
-            "hull", "hrep", "subset_intersection", "combination", "polytope"
-        }
+        assert set(stats) == {"subset_intersection", "combination", "polytope"}
         for entry in stats.values():
             assert entry["size"] == 0  # cold-started by the fixture
             assert entry["maxsize"] >= 1
             assert entry["evictions"] >= 0
 
     def test_clear_geometry_caches_empties_every_cache(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        hull_vertices(pts)
-        hrep_of_hull(pts)
-        ConvexPolytope.from_trusted_vertices(pts, dim=2)
-        assert len(HULL_CACHE) + len(HREP_CACHE) + len(POLYTOPE_CACHE) > 0
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        poly = ConvexPolytope.from_trusted_vertices(pts, dim=2)
+        intersect_subset_hulls(pts, 1)
+        linear_combination([poly, poly], [0.5, 0.5])
+        for cache in (SUBSET_CACHE, COMBINATION_CACHE, POLYTOPE_CACHE):
+            assert len(cache) == 1
         clear_geometry_caches()
-        for cache in (
-            HULL_CACHE, HREP_CACHE, SUBSET_CACHE, COMBINATION_CACHE, POLYTOPE_CACHE
-        ):
+        for cache in (SUBSET_CACHE, COMBINATION_CACHE, POLYTOPE_CACHE):
             assert len(cache) == 0
 
     def test_array_key_is_content_addressed(self):
@@ -214,12 +164,6 @@ class TestStatsAndKeys:
         assert array_key(a) == array_key(a.copy())
         assert array_key(a) != array_key(a.reshape(2, 1))  # same bytes, new shape
         assert array_key(a) != array_key(a + 1.0)
-
-    def test_freeze_readonly(self):
-        arr = np.zeros((2, 2))
-        out = freeze_readonly(arr)
-        assert out is arr
-        assert not out.flags.writeable
 
 
 class TestCounters:

@@ -3,8 +3,8 @@
 Covers the satellite checklist: concurrent multi-process read/write
 safety, corruption tolerance (truncated entries recompute instead of
 crashing), append-only semantics, the local/foreign hit provenance split,
-and bit-identity of cached vs. recomputed results under both
-``REPRO_GEOMETRY_BATCH`` settings.
+and bit-identity of cached vs. recomputed results on both routes of
+the line-5 subset intersection.
 """
 
 import multiprocessing
@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.geometry.batch import batch_override
+from repro.geometry import intersection
 from repro.geometry.cache import PERF, clear_geometry_caches
 from repro.geometry.combination import linear_combination
 from repro.geometry.intersection import intersect_subset_hulls
@@ -203,25 +203,38 @@ class TestHitProvenance:
 
 
 class TestBitIdentityBothBatchSettings:
-    @pytest.mark.parametrize("batch_on", [False, True])
-    def test_cached_equals_recomputed(self, cache_dir, batch_on):
+    """Cached and recomputed results agree bit for bit on both routes.
+
+    The class name dates from the retired batch switch.  The flag now
+    forces the line-5 subset router: ``False`` takes the hull
+    enumeration, ``True`` the depth path with its batched hyperplane
+    normals.  Both routes write through the disk cache under one key.
+    """
+
+    @pytest.mark.parametrize("depth_path", [False, True])
+    def test_cached_equals_recomputed(self, cache_dir, monkeypatch, depth_path):
+        monkeypatch.setattr(
+            intersection, "_takes_depth_path", lambda m, f, d: depth_path
+        )
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(9, 2))
         polys = family(4)
-        with batch_override(batch_on):
-            comb_cold = linear_combination(polys, [0.5, 0.25, 0.25])
-            inter_cold = intersect_subset_hulls(pts, 2)
-            clear_geometry_caches()  # force the disk path
-            comb_warm = linear_combination(polys, [0.5, 0.25, 0.25])
-            inter_warm = intersect_subset_hulls(pts, 2)
+        comb_cold = linear_combination(polys, [0.5, 0.25, 0.25])
+        inter_cold = intersect_subset_hulls(pts, 2)
+        clear_geometry_caches()  # force the disk path
+        before = PERF.snapshot()
+        comb_warm = linear_combination(polys, [0.5, 0.25, 0.25])
+        inter_warm = intersect_subset_hulls(pts, 2)
+        assert PERF.diff(before)["shared_cache_hits_local"] == 2
         assert np.array_equal(comb_cold.vertices, comb_warm.vertices)
         assert np.array_equal(inter_cold.vertices, inter_warm.vertices)
-        # And across settings: the combination kernel is batch-agnostic.
+        # And against a run with the disk cache off.
         set_shared_cache_dir("")
         clear_geometry_caches()
-        with batch_override(not batch_on):
-            comb_other = linear_combination(polys, [0.5, 0.25, 0.25])
-        assert np.array_equal(comb_cold.vertices, comb_other.vertices)
+        comb_off = linear_combination(polys, [0.5, 0.25, 0.25])
+        inter_off = intersect_subset_hulls(pts, 2)
+        assert np.array_equal(comb_cold.vertices, comb_off.vertices)
+        assert np.array_equal(inter_cold.vertices, inter_off.vertices)
 
 
 def _concurrent_worker(args):

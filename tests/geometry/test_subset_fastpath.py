@@ -2,25 +2,24 @@
 
 Covers the pieces the property suite
 (``tests/property/test_subset_fastpath_properties.py``) exercises only
-end-to-end: mode selection and its cache interaction, the cost-rule
-routing, the candidate-halfspace generator's validation and counters,
-and the Tverberg short-circuit in the nonemptiness test.
+end-to-end: the cost-rule routing, the candidate-halfspace generator's
+validation and counters, and the Tverberg short-circuit in the
+nonemptiness test.
 """
 
 import numpy as np
 import pytest
 
-from repro.geometry.cache import PERF, SUBSET_CACHE, clear_geometry_caches
+from repro.geometry import intersection
+from repro.geometry.cache import PERF, clear_geometry_caches
 from repro.geometry.errors import DegenerateInputError
 from repro.geometry.halfspaces import vertices_of_halfspace_system
 from repro.geometry.intersection import (
     depth_region_halfspaces,
     intersect_subset_hulls,
-    set_subset_mode,
     subset_count,
     subset_intersection_is_nonempty,
     subset_mode,
-    subset_mode_override,
 )
 
 
@@ -28,74 +27,15 @@ from repro.geometry.intersection import (
 def _fresh_state():
     clear_geometry_caches()
     yield
-    set_subset_mode("auto")
     clear_geometry_caches()
 
 
 class TestModeSelection:
-    def test_default_mode_is_auto(self):
-        assert subset_mode() == "auto"
-
-    def test_set_returns_previous(self):
-        assert set_subset_mode("depth") == "auto"
-        assert set_subset_mode("enumerate") == "depth"
-        assert subset_mode() == "enumerate"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="subset mode"):
-            set_subset_mode("fastest")
-        assert subset_mode() == "auto"
-
-    def test_override_restores_on_exit(self):
-        with subset_mode_override("enumerate"):
-            assert subset_mode() == "enumerate"
-            with subset_mode_override("depth"):
-                assert subset_mode() == "depth"
-            assert subset_mode() == "enumerate"
-        assert subset_mode() == "auto"
-
-    def test_mode_change_clears_subset_cache(self):
-        pts = np.random.default_rng(0).normal(size=(9, 2))
-        intersect_subset_hulls(pts, 2)
-        assert len(SUBSET_CACHE) == 1
-        set_subset_mode("enumerate")
-        assert len(SUBSET_CACHE) == 0
-
-    def test_noop_mode_change_keeps_cache(self):
-        pts = np.random.default_rng(0).normal(size=(9, 2))
-        intersect_subset_hulls(pts, 2)
-        set_subset_mode(subset_mode())
-        assert len(SUBSET_CACHE) == 1
-
-    def test_invalid_env_value_warns_and_falls_back(self, monkeypatch):
-        from repro.geometry.intersection import _mode_from_env
-
-        monkeypatch.setenv("REPRO_SUBSET_MODE", "bogus")
-        with pytest.warns(UserWarning, match="REPRO_SUBSET_MODE"):
-            assert _mode_from_env() == "auto"
+    def test_default_mode_is_auto(self, monkeypatch):
+        # The harness's switch check: the cost rule is the only router,
+        # and the retired REPRO_SUBSET_MODE variable is not read.
         monkeypatch.setenv("REPRO_SUBSET_MODE", "enumerate")
-        assert _mode_from_env() == "enumerate"
-
-    def test_env_switch_takes_effect_at_runtime(self, monkeypatch):
-        # The env var is re-read on every subset_mode() call; a runtime
-        # change behaves like set_subset_mode (including the cache clear),
-        # so A/B harnesses flipping the variable between arms never see
-        # entries computed under the other path.
-        pts = np.random.default_rng(0).normal(size=(9, 2))
-        intersect_subset_hulls(pts, 2)
-        assert len(SUBSET_CACHE) == 1
-        monkeypatch.setenv("REPRO_SUBSET_MODE", "enumerate")
-        assert subset_mode() == "enumerate"
-        assert len(SUBSET_CACHE) == 0
-        monkeypatch.delenv("REPRO_SUBSET_MODE")
         assert subset_mode() == "auto"
-
-    def test_unchanged_env_does_not_override_set_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUBSET_MODE", "depth")
-        assert subset_mode() == "depth"
-        set_subset_mode("enumerate")
-        # The env var did not change again, so the explicit setting wins.
-        assert subset_mode() == "enumerate"
 
 
 class TestAutoRouting:
@@ -117,15 +57,15 @@ class TestAutoRouting:
         assert subset_count(8, 1) < subset_count(8, 2)
         assert self._fast_hits(pts, 1) == 0
 
-    def test_forced_depth_ignores_cost_rule(self):
+    def test_forced_depth_ignores_cost_rule(self, monkeypatch):
         pts = np.random.default_rng(1).normal(size=(8, 2))
-        with subset_mode_override("depth"):
-            assert self._fast_hits(pts, 1) == 1
+        monkeypatch.setattr(intersection, "_takes_depth_path", lambda m, f, d: True)
+        assert self._fast_hits(pts, 1) == 1
 
-    def test_forced_enumerate_ignores_cost_rule(self):
+    def test_forced_enumerate_ignores_cost_rule(self, monkeypatch):
         pts = np.random.default_rng(1).normal(size=(12, 2))
-        with subset_mode_override("enumerate"):
-            assert self._fast_hits(pts, 5) == 0
+        monkeypatch.setattr(intersection, "_takes_depth_path", lambda m, f, d: False)
+        assert self._fast_hits(pts, 5) == 0
 
 
 class TestDepthRegionHalfspaces:
@@ -262,3 +202,10 @@ class TestTverbergShortcut:
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
         assert subset_intersection_is_nonempty(pts, 0)
         assert not subset_intersection_is_nonempty(pts, 2)
+        # A negative f is rejected, not answered by the Tverberg shortcut
+        # (m >= (d+1)f + 1 holds for every f < 0), exactly as
+        # intersect_subset_hulls rejects it.
+        six = np.random.default_rng(6).normal(size=(6, 2))
+        for check in (subset_intersection_is_nonempty, intersect_subset_hulls):
+            with pytest.raises(ValueError, match="f must be non-negative, got -1"):
+                check(six, -1)

@@ -1,11 +1,11 @@
-"""Bit-identity of the batch geometry core against the scalar oracles.
+"""Bit-identity of the Hausdorff bound-and-prune kernels against the oracles.
 
-The batch core's contract (see :mod:`repro.geometry.batch`) is *exact*
-``==`` equality with the pre-existing scalar implementations — not
-approximate agreement.  These suites drive both paths over seeded random,
+The kernels' contract (see :mod:`repro.geometry.batch`) is *exact* ``==``
+equality with the exhaustive scalar scans in ``tests/oracles/`` — not
+approximate agreement.  These suites drive both over seeded random,
 duplicate-heavy, degenerate, and adversarially-scaled inputs and assert
-float-for-float identical results, plus identity of the public dispatch
-under both ``REPRO_GEOMETRY_BATCH`` settings.
+float-for-float identical results, through the kernels and through the
+public entry points of :mod:`repro.geometry.hausdorff`.
 """
 
 import numpy as np
@@ -17,21 +17,18 @@ from hypothesis.extra import numpy as hnp
 from repro.geometry.batch import (
     batch_directed_hausdorff,
     batch_disagreement_diameter,
-    batch_feasibility,
-    batch_hausdorff_distance,
-    batch_override,
 )
-from scipy.optimize import linprog
-
 from repro.geometry.hausdorff import (
     directed_hausdorff,
-    directed_hausdorff_scalar,
     disagreement_diameter,
-    disagreement_diameter_scalar,
     hausdorff_distance,
-    hausdorff_distance_scalar,
 )
 from repro.geometry.polytope import ConvexPolytope
+from tests.oracles.hausdorff import (
+    directed_hausdorff_scalar,
+    disagreement_diameter_scalar,
+    hausdorff_distance_scalar,
+)
 
 finite_floats = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -92,7 +89,7 @@ class TestDirectedIdentity:
         a = ConvexPolytope.from_points(rng.normal(size=(8, 2)) * scale)
         b = ConvexPolytope.from_points(rng.normal(size=(8, 2)) * scale)
         assert batch_directed_hausdorff(a, b) == directed_hausdorff_scalar(a, b)
-        assert batch_hausdorff_distance(a, b) == hausdorff_distance_scalar(a, b)
+        assert hausdorff_distance(a, b) == hausdorff_distance_scalar(a, b)
 
 
 class TestDiameterIdentity:
@@ -125,56 +122,17 @@ class TestDiameterIdentity:
 
 
 class TestDispatchIdentity:
-    """The public entry points agree under both switch settings."""
+    """The public entry points return the oracles' floats."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_public_api_both_settings(self, seed):
+        # The two settings compared: the production kernels behind the
+        # public entry points, and the exhaustive scalar oracles.
         polys = poly_family(2, 5, seed + 500, dupes=True)
-        with batch_override(False):
-            d_off = disagreement_diameter(polys)
-            h_off = hausdorff_distance(polys[0], polys[1])
-            dd_off = directed_hausdorff(polys[0], polys[1])
-        with batch_override(True):
-            d_on = disagreement_diameter(polys)
-            h_on = hausdorff_distance(polys[0], polys[1])
-            dd_on = directed_hausdorff(polys[0], polys[1])
-        assert d_on == d_off
-        assert h_on == h_off
-        assert dd_on == dd_off
-
-
-class TestFeasibilityAgreement:
-    """batch_feasibility verdicts match independent per-system LP probes."""
-
-    @staticmethod
-    def _probe(a, b):
-        res = linprog(
-            np.zeros(a.shape[1]),
-            A_ub=a,
-            b_ub=b,
-            bounds=[(None, None)] * a.shape[1],
-            method="highs",
+        assert disagreement_diameter(polys) == disagreement_diameter_scalar(polys)
+        assert hausdorff_distance(polys[0], polys[1]) == hausdorff_distance_scalar(
+            polys[0], polys[1]
         )
-        return bool(res.success)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_systems(self, seed):
-        rng = np.random.default_rng(seed + 900)
-        systems = []
-        expected = []
-        for _ in range(6):
-            d = int(rng.integers(2, 4))
-            if rng.random() < 0.5:
-                # Random halfspaces through a known interior point: feasible.
-                a = rng.normal(size=(int(rng.integers(1, 6)), d))
-                x0 = rng.normal(size=d)
-                b = a @ x0 + rng.uniform(0.1, 1.0, size=a.shape[0])
-            else:
-                # x_0 >= 1 and x_0 <= -1: infeasible.
-                a = np.zeros((2, d))
-                a[0, 0] = 1.0
-                a[1, 0] = -1.0
-                b = np.array([-1.0, -1.0])
-            systems.append((a, b))
-            expected.append(self._probe(a, b))
-        assert batch_feasibility(systems) == expected
+        assert directed_hausdorff(polys[0], polys[1]) == directed_hausdorff_scalar(
+            polys[0], polys[1]
+        )

@@ -1,12 +1,13 @@
 """Property tests: memoized geometry is bit-identical to unmemoized.
 
 The cache layer's contract is absolute: for every input, the cached path
-must return *the same bytes* as the uncached path — not approximately
-equal vertices, the identical float64 array.  Content-addressed keys make
-this true by construction (a cached value was computed by the same code
-on the same bytes); these tests enforce the contract end to end through
-every memoized primitive, including on warm caches where results are
-served without recomputation.
+must return *the same bytes* as the computation behind it — not
+approximately equal vertices, the identical float64 array.
+Content-addressed keys make this true by construction (a cached value was
+computed by the same code on the same bytes); these tests enforce the
+contract end to end through both memoized primitives, including on warm
+caches where results are served without recomputation.  The reference is
+the primitive's computation called directly, past the cache.
 """
 
 import numpy as np
@@ -15,14 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.geometry.cache import (
-    cache_disabled,
-    cache_override,
-    clear_geometry_caches,
-    set_cache_enabled,
+from repro.geometry import intersection
+from repro.geometry.cache import clear_geometry_caches
+from repro.geometry.combination import (
+    _combine_minkowski,
+    linear_combination,
+    validate_weights,
 )
-from repro.geometry.combination import linear_combination
-from repro.geometry.hull import hull_vertices
 from repro.geometry.intersection import intersect_subset_hulls
 from repro.geometry.polytope import ConvexPolytope
 
@@ -32,12 +32,10 @@ finite_floats = st.floats(
 
 
 @pytest.fixture(autouse=True)
-def _cold_enabled_cache():
-    previous = set_cache_enabled(True)
+def _cold_cache():
     clear_geometry_caches()
     yield
     clear_geometry_caches()
-    set_cache_enabled(previous)
 
 
 def points(min_rows, max_rows, dims=st.integers(1, 3)):
@@ -56,10 +54,7 @@ def polytope_list(draw, min_polys=1, max_polys=4):
     for _ in range(count):
         m = draw(st.integers(1, 6))
         pts = draw(hnp.arrays(np.float64, (m, dim), elements=finite_floats))
-        with cache_disabled():
-            # Build operands outside the cache so both A/B runs see the
-            # exact same (fresh, unshared) polytope objects.
-            polys.append(ConvexPolytope.from_points(pts))
+        polys.append(ConvexPolytope.from_points(pts))
     return polys
 
 
@@ -79,18 +74,13 @@ def assert_same_bytes(a: np.ndarray, b: np.ndarray, what: str):
     assert a.tobytes() == b.tobytes(), f"{what}: cached result diverged"
 
 
-class TestHullIdentity:
-    @given(points(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_cached_equals_uncached(self, pts):
-        with cache_disabled():
-            reference = hull_vertices(pts)
-        clear_geometry_caches()
-        with cache_override(True):
-            cold = hull_vertices(pts)   # populates the cache
-            warm = hull_vertices(pts)   # served from it
-        assert_same_bytes(reference, cold, "hull (cold cache)")
-        assert_same_bytes(reference, warm, "hull (warm cache)")
+def uncached_combination(polys, weights):
+    """``linear_combination``'s computation, called past the cache."""
+    if polys[0].dim == 1:  # intervals are never cached
+        return linear_combination(polys, weights)
+    w = validate_weights(weights, len(polys))
+    active = [(p, float(c)) for p, c in zip(polys, w)]
+    return _combine_minkowski(active, polys[0].dim, 100_000)
 
 
 class TestSubsetIntersectionIdentity:
@@ -99,12 +89,11 @@ class TestSubsetIntersectionIdentity:
     def test_cached_equals_uncached(self, pts, f):
         if pts.shape[0] <= f:
             f = pts.shape[0] - 1
-        with cache_disabled():
-            reference = intersect_subset_hulls(pts, f)
+        m, d = pts.shape
+        reference = intersection._intersect_subset_hulls_uncached(pts, m, d, f)
         clear_geometry_caches()
-        with cache_override(True):
-            cold = intersect_subset_hulls(pts, f)
-            warm = intersect_subset_hulls(pts, f)
+        cold = intersect_subset_hulls(pts, f)
+        warm = intersect_subset_hulls(pts, f)
         for result, label in ((cold, "cold"), (warm, "warm")):
             assert result.is_empty == reference.is_empty
             if not reference.is_empty:
@@ -119,12 +108,10 @@ class TestCombinationIdentity:
     @settings(max_examples=40, deadline=None)
     def test_cached_equals_uncached(self, polys, data):
         weights = data.draw(weights_for_count(len(polys)))
-        with cache_disabled():
-            reference = linear_combination(polys, weights)
+        reference = uncached_combination(polys, weights)
         clear_geometry_caches()
-        with cache_override(True):
-            cold = linear_combination(polys, weights)
-            warm = linear_combination(polys, weights)
+        cold = linear_combination(polys, weights)
+        warm = linear_combination(polys, weights)
         assert_same_bytes(
             reference.vertices, cold.vertices, "combination (cold cache)"
         )
@@ -143,15 +130,13 @@ class TestCombinationIdentity:
         """
         weights = data.draw(weights_for_count(len(polys)))
         perm = list(range(len(polys)))[::-1]
-        with cache_override(True):
-            forward = linear_combination(polys, weights)
-            backward = linear_combination(
-                [polys[i] for i in perm], [weights[i] for i in perm]
-            )
-        with cache_disabled():
-            backward_ref = linear_combination(
-                [polys[i] for i in perm], [weights[i] for i in perm]
-            )
+        forward = linear_combination(polys, weights)
+        backward = linear_combination(
+            [polys[i] for i in perm], [weights[i] for i in perm]
+        )
+        backward_ref = uncached_combination(
+            [polys[i] for i in perm], [weights[i] for i in perm]
+        )
         # The cached permuted call must match ITS OWN uncached result —
         # not the forward one — byte for byte.
         assert_same_bytes(

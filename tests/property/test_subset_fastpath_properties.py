@@ -5,23 +5,27 @@ PR 4 replaces the ``C(m, f)``-hull enumeration behind
 polynomial Tukey-depth construction.  These tests are the correctness
 contract for that swap: on a few hundred seeded multisets — random,
 duplicate-heavy, rank-deficient, translated far off the origin, and
-empty-at-the-boundary — the two selectable paths must produce the *same
-polytope* (canonical vertex sets within tolerance, emptiness verdicts
-exactly), and the memoized path must stay bit-identical to the
-unmemoized one.
+empty-at-the-boundary — the two paths must produce the *same polytope*
+(canonical vertex sets within tolerance, emptiness verdicts exactly),
+and the memoized path must stay bit-identical to the unmemoized one.
+Each path is forced by patching the router ``_takes_depth_path`` inside
+the test, so rank-deficient inputs still pass through the chart
+projection in front of it.
 
 Every case is deterministic (seeded generators, no hypothesis) so a
 failure here is a repro, not a flake.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from repro.geometry.cache import PERF, cache_override, clear_geometry_caches
+from repro.geometry import intersection
+from repro.geometry.cache import PERF, clear_geometry_caches
 from repro.geometry.intersection import (
     intersect_subset_hulls,
     subset_intersection_is_nonempty,
-    subset_mode_override,
 )
 
 # ----------------------------------------------------------------------
@@ -108,15 +112,31 @@ def _canonical(vertices: np.ndarray) -> np.ndarray:
     return v[np.lexsort(v.T[::-1])]
 
 
+@contextmanager
+def _forced(depth: bool):
+    """Route every full-dimensional call to one path, with cold caches.
+
+    The subset-intersection cache is keyed by ``(points, f)`` alone, so it
+    is emptied on the way in and out: neither arm may be served the
+    other's entry, and no forced entry may outlive the block.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intersection, "_takes_depth_path", lambda m, f, d: depth)
+        clear_geometry_caches()
+        try:
+            yield
+        finally:
+            clear_geometry_caches()
+
+
 def _both_paths(pts, f):
     """The same intersection through each forced path, cold caches."""
-    clear_geometry_caches()
-    with subset_mode_override("depth"):
+    with _forced(depth=True):
         fast = intersect_subset_hulls(pts, f)
         fast_nonempty = subset_intersection_is_nonempty(
             pts, f, use_tverberg_shortcut=False
         )
-    with subset_mode_override("enumerate"):
+    with _forced(depth=False):
         oracle = intersect_subset_hulls(pts, f)
         oracle_nonempty = subset_intersection_is_nonempty(
             pts, f, use_tverberg_shortcut=False
@@ -196,8 +216,7 @@ class TestDepthPathMatchesEnumerationOracle:
         for d, f in [(2, 1), (2, 2), (3, 1), (3, 2)]:
             for seed in BOUNDARY_SEEDS:
                 pts, ff = _boundary_case(seed, d, f)
-                with subset_mode_override("depth"):
-                    clear_geometry_caches()
+                with _forced(depth=True):
                     empties += int(intersect_subset_hulls(pts, ff).is_empty)
         assert empties >= 10, f"only {empties} empty boundary cases"
 
@@ -221,13 +240,11 @@ class TestCacheTransparency:
     @pytest.mark.parametrize("seed", range(10))
     def test_cache_on_off_bit_identity(self, seed, d):
         pts, f = _random_case(seed, d)
-        with subset_mode_override("depth"):
-            clear_geometry_caches()
-            with cache_override(False):
-                cold = intersect_subset_hulls(pts, f)
-            with cache_override(True):
-                miss = intersect_subset_hulls(pts, f)
-                hit = intersect_subset_hulls(pts, f)
+        m = pts.shape[0]
+        with _forced(depth=True):
+            cold = intersection._intersect_subset_hulls_uncached(pts, m, d, f)
+            miss = intersect_subset_hulls(pts, f)
+            hit = intersect_subset_hulls(pts, f)
         assert cold.is_empty == miss.is_empty
         if not cold.is_empty:
             assert cold.vertices.tobytes() == miss.vertices.tobytes()
@@ -236,13 +253,11 @@ class TestCacheTransparency:
     def test_cache_hit_counters(self):
         rng = np.random.default_rng(99)
         pts = rng.normal(size=(8, 2))
-        with subset_mode_override("depth"):
-            clear_geometry_caches()
-            with cache_override(True):
-                before = PERF.snapshot()
-                intersect_subset_hulls(pts, 2)
-                intersect_subset_hulls(pts, 2)
-                delta = PERF.diff(before)
+        with _forced(depth=True):
+            before = PERF.snapshot()
+            intersect_subset_hulls(pts, 2)
+            intersect_subset_hulls(pts, 2)
+            delta = PERF.diff(before)
         assert delta["subset_intersection_cache_misses"] == 1
         assert delta["subset_intersection_cache_hits"] == 1
         assert delta["subset_fast_path_hits"] == 1  # computed only once
