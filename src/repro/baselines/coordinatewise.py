@@ -18,34 +18,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.config import CCConfig
-from ..core.runner import derive_bounds
+from ..core.runner import derive_bounds, prepare_run
+from ..core.vector_consensus import PointOutputs
 from ..geometry.polytope import ConvexPolytope
+from ..geometry.tolerances import INVARIANT_TOL
 from ..runtime.faults import FaultPlan
-from ..runtime.scheduler import Scheduler, default_scheduler
+from ..runtime.scheduler import default_scheduler
 from ..runtime.simulator import run_simulation
-from ..runtime.tracing import ExecutionTrace, ProcessTrace
+from ..runtime.tracing import ExecutionTrace
 from .scalar_agreement import ScalarAgreementProcess
 
 
 @dataclass
-class CoordinatewiseResult:
+class CoordinatewiseResult(PointOutputs):
     """Per-process output points assembled from per-coordinate runs."""
 
     points: dict[int, np.ndarray]
     coordinate_traces: list[ExecutionTrace]
     faulty: frozenset[int]
 
-    @property
-    def fault_free_points(self) -> dict[int, np.ndarray]:
-        return {
-            pid: pt for pid, pt in self.points.items() if pid not in self.faulty
-        }
-
     def validity_violations(
-        self, correct_inputs: np.ndarray, tol: float = 1e-7
+        self, correct_inputs: np.ndarray, tol: float = INVARIANT_TOL
     ) -> dict[int, float]:
-        """Distance outside ``H(correct inputs)`` per violating process."""
+        """Distance outside ``H(correct inputs)`` per violating process.
+
+        ``tol`` defaults to ``INVARIANT_TOL``, the tolerance
+        ``check_validity`` applies to Algorithm CC, so E4 holds both
+        sides to the same bar.
+        """
         hull = ConvexPolytope.from_points(correct_inputs)
         violations: dict[int, float] = {}
         for pid, point in self.fault_free_points.items():
@@ -73,7 +73,7 @@ def run_coordinatewise_consensus(
     ``eps / sqrt(d)`` so the combined points still epsilon-agree.
     """
     arr = np.asarray(inputs, dtype=float)
-    n, dim = arr.shape
+    dim = arr.shape[1]
     plan = fault_plan or FaultPlan.none()
     if input_bounds is None:
         input_bounds = derive_bounds(arr)
@@ -81,53 +81,26 @@ def run_coordinatewise_consensus(
     traces: list[ExecutionTrace] = []
     coord_outputs: list[dict[int, float]] = []
     for coord in range(dim):
-        config = CCConfig(
-            n=n,
-            f=f,
-            dim=1,
-            eps=per_coord_eps,
-            input_lower=input_bounds[0],
-            input_upper=input_bounds[1],
+        run = prepare_run(
+            arr[:, coord : coord + 1],
+            f,
+            per_coord_eps,
+            fault_plan=plan,
+            input_bounds=input_bounds,
             enforce_resilience=False,  # scalar agreement needs only 3f+1
+            core_cls=ScalarAgreementProcess,
         )
-        proc_traces = [
-            ProcessTrace(pid=i, input_point=arr[i, coord : coord + 1].copy())
-            for i in range(n)
-        ]
-        cores = [
-            ScalarAgreementProcess(
-                pid=i,
-                config=config,
-                input_value=arr[i, coord],
-                trace=proc_traces[i],
-            )
-            for i in range(n)
-        ]
         if scheduler_factory is None:
-            sched: Scheduler = default_scheduler(seed=seed + 1000 * coord)
+            sched = default_scheduler(seed=seed + 1000 * coord)
         else:
             sched = scheduler_factory(coord)
-        report = run_simulation(cores, fault_plan=plan, scheduler=sched)
-        traces.append(
-            ExecutionTrace(
-                n=n,
-                f=f,
-                dim=1,
-                eps=per_coord_eps,
-                t_end=config.t_end,
-                fault_plan=plan,
-                seed=seed,
-                scheduler_name=type(sched).__name__,
-                processes=proc_traces,
-                messages_sent=report.messages_sent,
-                messages_delivered=report.messages_delivered,
-                delivery_steps=report.delivery_steps,
-            )
-        )
+        report = run_simulation(run.cores, fault_plan=plan, scheduler=sched)
+        result = run.result(report, seed=seed, scheduler_name=type(sched).__name__)
+        traces.append(result.trace)
         coord_outputs.append(
             {
                 core.pid: core.output
-                for core in cores
+                for core in run.cores
                 if core.done and core.output is not None
             }
         )

@@ -18,23 +18,24 @@ exactly that gap.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.algorithm_cc import CCProcess, EmptyInitialPolytopeError
+from ..core.algorithm_cc import CCProcess
 from ..core.config import CCConfig
-from ..geometry.intersection import intersect_subset_hulls
+from ..core.runner import CCResult, prepare_run
 from ..runtime.messages import Payload, SVInit, SVView
 from ..runtime.process import Outgoing
+from ..runtime.scheduler import default_scheduler
+from ..runtime.simulator import run_simulation
 from ..runtime.tracing import ProcessTrace
 
 
 class NaiveCollectProcess(CCProcess):
     """CC with first-(n-f)-inputs collection instead of stable vector.
 
-    Inherits all round >= 1 logic from :class:`CCProcess`; only the
-    round-0 message handling differs.  ``SVView`` echoes from peers are
-    impossible here (all processes in an ablation run use this class);
-    receiving one raises, which guards against mixing the variants.
+    Inherits every step but round-0 collection from :class:`CCProcess`:
+    the frozen first-``n - f`` view goes to the shared round-0 step.
+    ``SVView`` echoes from peers are impossible here (all processes in an
+    ablation run use this class); receiving one raises, which guards
+    against mixing the variants.
     """
 
     def __init__(
@@ -73,21 +74,7 @@ class NaiveCollectProcess(CCProcess):
         if self._view_frozen or len(self._collected) < self.config.quorum:
             return []
         self._view_frozen = True
-        entries = tuple(sorted(self._collected.values()))
-        self.trace.r_view = entries
-        x_multiset = np.array([list(e.value) for e in entries])
-        h0 = intersect_subset_hulls(x_multiset, self.config.f)
-        if h0.is_empty:
-            raise EmptyInitialPolytopeError(
-                f"naive process {self.pid}: empty round-0 intersection"
-            )
-        self._h[0] = h0
-        self.trace.states[0] = h0
-        return self._enter_round(1)
-
-    def _poll_stable_vector(self) -> list[Outgoing]:
-        # The inherited stable-vector engine is inert in this variant.
-        return []
+        return self._complete_round0(self._collected.values())
 
 
 def run_naive_collect_consensus(
@@ -99,41 +86,19 @@ def run_naive_collect_consensus(
     scheduler=None,
     seed: int = 0,
     input_bounds=None,
-):
-    """Run the naive-collection ablation end to end (CCResult-compatible)."""
-    from ..core.runner import CCResult, build_config
-    from ..runtime.faults import FaultPlan
-    from ..runtime.scheduler import default_scheduler
-    from ..runtime.simulator import run_simulation
-    from ..runtime.tracing import ExecutionTrace
-
-    arr = np.asarray(inputs, dtype=float)
-    config = build_config(arr, f, eps, input_bounds=input_bounds)
-    plan = fault_plan or FaultPlan.none()
+) -> CCResult:
+    """Run the naive-collection ablation end to end."""
+    run = prepare_run(
+        inputs,
+        f,
+        eps,
+        fault_plan=fault_plan,
+        input_bounds=input_bounds,
+        core_cls=NaiveCollectProcess,
+    )
     sched = scheduler or default_scheduler(seed=seed)
     sched.reset()
-    traces = [
-        ProcessTrace(pid=i, input_point=arr[i].copy()) for i in range(config.n)
-    ]
-    cores = [
-        NaiveCollectProcess(
-            pid=i, config=config, input_point=arr[i], trace=traces[i]
-        )
-        for i in range(config.n)
-    ]
-    report = run_simulation(cores, fault_plan=plan, scheduler=sched)
-    trace = ExecutionTrace(
-        n=config.n,
-        f=config.f,
-        dim=config.dim,
-        eps=config.eps,
-        t_end=config.t_end,
-        fault_plan=plan,
-        seed=seed,
-        scheduler_name=f"naive+{type(sched).__name__}",
-        processes=traces,
-        messages_sent=report.messages_sent,
-        messages_delivered=report.messages_delivered,
-        delivery_steps=report.delivery_steps,
+    report = run_simulation(run.cores, fault_plan=run.plan, scheduler=sched)
+    return run.result(
+        report, seed=seed, scheduler_name=f"naive+{type(sched).__name__}"
     )
-    return CCResult(config=config, trace=trace, report=report)

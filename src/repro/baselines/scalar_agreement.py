@@ -2,8 +2,9 @@
 
 The classic algorithm the paper's related work builds on [7]: scalar
 state, asynchronous rounds, each round waits for ``n - f`` values and
-averages them.  We reuse Algorithm CC's round structure (stable vector in
-round 0 to pick the initial value safely, then iterated averaging) so the
+averages them.  It runs Algorithm CC's round skeleton
+(:class:`~repro.core.algorithm_cc.CCSkeleton`: stable vector in round 0
+to pick the initial value safely, then iterated averaging) so the
 baseline and CC face identical adversaries and the comparison isolates the
 *state representation* (point vs polytope).
 
@@ -16,28 +17,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry.polytope import ConvexPolytope
-from ..runtime.messages import (
-    InputTuple,
-    Payload,
-    RoundMessage,
-    SVInit,
-    SVView,
-    freeze_point,
-)
-from ..runtime.process import Outgoing, ProtocolCore
-from ..runtime.stable_vector import StableVectorEngine
-from ..runtime.tracing import ProcessTrace
+from ..core.algorithm_cc import CCSkeleton
 from ..core.config import CCConfig
+from ..geometry.polytope import ConvexPolytope
+from ..runtime.messages import InputTuple
+from ..runtime.tracing import ProcessTrace
 
 
-class ScalarAgreementProcess(ProtocolCore):
+class ScalarAgreementProcess(CCSkeleton):
     """Point-valued approximate agreement on one coordinate.
 
-    The state is a single real; rounds mirror Algorithm CC's (broadcast
-    previous value, wait for ``n - f``, average).  Convergence obeys the
-    same ``(1 - 1/n)^t`` envelope, so ``t_end`` from :class:`CCConfig`
-    applies unchanged.
+    The state is a single real, held as a 1-d singleton polytope; rounds
+    are Algorithm CC's (broadcast previous value, wait for ``n - f``,
+    average).  Convergence obeys the same ``(1 - 1/n)^t`` envelope, so
+    ``t_end`` from :class:`CCConfig` applies unchanged.
     """
 
     def __init__(
@@ -49,103 +42,23 @@ class ScalarAgreementProcess(ProtocolCore):
     ):
         if config.dim != 1:
             raise ValueError("scalar agreement requires dim=1 configs")
-        self.pid = pid
-        self.config = config
         self.input_value = float(np.asarray(input_value).reshape(-1)[0])
-        self.trace = trace if trace is not None else ProcessTrace(
-            pid=pid, input_point=np.array([self.input_value])
-        )
-        self._round = 0
-        self._done = False
-        self._value: float | None = None
-        self._sv = StableVectorEngine(
-            pid=pid,
-            n=config.n,
-            f=config.f,
-            entry=InputTuple(value=freeze_point([self.input_value]), sender=pid),
-        )
-        self._round_buffer: dict[int, dict[int, float]] = {}
-        self._frozen: set[int] = set()
-
-    # ------------------------------------------------------------------
-    @property
-    def current_round(self) -> int:
-        return self._round
-
-    @property
-    def done(self) -> bool:
-        return self._done
+        super().__init__(pid, config, [self.input_value], trace)
 
     @property
     def output(self) -> float | None:
-        return self._value if self._done else None
+        state = super().output
+        return None if state is None else float(state.vertices[0, 0])
 
-    def on_start(self) -> list[Outgoing]:
-        out: list[Outgoing] = [(None, p) for p in self._sv.start()]
-        out.extend(self._poll_sv())
-        return out
-
-    def on_message(self, payload: Payload, src: int) -> list[Outgoing]:
-        if isinstance(payload, SVInit):
-            echoes = self._sv.on_init(payload, src)
-        elif isinstance(payload, SVView):
-            echoes = self._sv.on_view(payload, src)
-        elif isinstance(payload, RoundMessage):
-            return self._on_round_message(payload)
-        else:  # pragma: no cover
-            raise TypeError(f"unexpected payload {type(payload)!r}")
-        out: list[Outgoing] = [(None, e) for e in echoes]
-        out.extend(self._poll_sv())
-        return out
-
-    # ------------------------------------------------------------------
-    def _poll_sv(self) -> list[Outgoing]:
-        if self._round != 0 or self._sv.result is None:
-            return []
-        self.trace.r_view = tuple(sorted(self._sv.result))
-        values = np.sort(
-            np.array([entry.value[0] for entry in self._sv.result])
-        )
+    def initial_state(self, r_view: tuple[InputTuple, ...]) -> ConvexPolytope:
+        """The midpoint of the f-trimmed received values."""
+        values = np.sort(np.array([entry.value[0] for entry in r_view]))
         trimmed = values[self.config.f : values.size - self.config.f]
         if trimmed.size == 0:  # below the resilience bound
             trimmed = values
-        self._value = float(0.5 * (trimmed[0] + trimmed[-1]))
-        self.trace.states[0] = ConvexPolytope.singleton([self._value])
-        return self._enter_round(1)
+        return ConvexPolytope.singleton([float(0.5 * (trimmed[0] + trimmed[-1]))])
 
-    def _enter_round(self, t: int) -> list[Outgoing]:
-        self._round = t
-        msg = RoundMessage(
-            vertices=((self._value,),), sender=self.pid, round_index=t
-        )
-        self._round_buffer.setdefault(t, {})[self.pid] = self._value
-        out: list[Outgoing] = [(None, msg)]
-        out.extend(self._maybe_complete())
-        return out
-
-    def _on_round_message(self, msg: RoundMessage) -> list[Outgoing]:
-        t = msg.round_index
-        if t in self._frozen or t < self._round:
-            return []
-        self._round_buffer.setdefault(t, {})[msg.sender] = float(
-            msg.vertices[0][0]
-        )
-        return self._maybe_complete()
-
-    def _maybe_complete(self) -> list[Outgoing]:
-        t = self._round
-        if self._done or t == 0:
-            return []
-        buffer = self._round_buffer.get(t, {})
-        if len(buffer) < self.config.quorum:
-            return []
-        self._frozen.add(t)
-        self._value = float(np.mean(list(buffer.values())))
-        self.trace.states[t] = ConvexPolytope.singleton([self._value])
-        self.trace.round_senders[t] = tuple(sorted(buffer))
-        del self._round_buffer[t]
-        if t < self.config.t_end:
-            return self._enter_round(t + 1)
-        self._done = True
-        self.trace.decided = True
-        return []
+    def combine(self, received: dict[int, ConvexPolytope]) -> ConvexPolytope:
+        """The mean of the received values, in arrival order."""
+        values = [poly.vertices[0, 0] for poly in received.values()]
+        return ConvexPolytope.singleton([float(np.mean(values))])

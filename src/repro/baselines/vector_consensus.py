@@ -1,9 +1,10 @@
 """Point-valued approximate vector consensus (Mendes-Herlihy / Vaidya-Garg
 style, adapted to crash faults with incorrect inputs).
 
-The dedicated baseline the paper generalises: identical communication
-structure to Algorithm CC (stable vector in round 0, iterated averaging
-with ``n - f`` quorums afterwards), but the state is a single point:
+The dedicated baseline the paper generalises: it runs Algorithm CC's
+round skeleton (:class:`~repro.core.algorithm_cc.CCSkeleton`: stable
+vector in round 0, iterated averaging with ``n - f`` quorums afterwards),
+but the state is a single point:
 
 * round 0 — compute the same safe polytope ``h_i[0]`` CC computes (the
   subset-hull intersection protects against ``f`` incorrect inputs), then
@@ -27,145 +28,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.config import CCConfig
-from ..core.runner import build_config
-from ..geometry.intersection import intersect_subset_hulls
+from ..core.algorithm_cc import CCSkeleton
+from ..core.runner import prepare_run
+from ..core.vector_consensus import PointOutputs
 from ..geometry.polytope import ConvexPolytope
 from ..geometry.steiner import steiner_point
 from ..runtime.faults import FaultPlan
-from ..runtime.messages import (
-    InputTuple,
-    Payload,
-    RoundMessage,
-    SVInit,
-    SVView,
-    freeze_point,
-)
-from ..runtime.process import Outgoing, ProtocolCore
+from ..runtime.messages import InputTuple
 from ..runtime.scheduler import Scheduler, default_scheduler
 from ..runtime.simulator import SimulationReport, run_simulation
-from ..runtime.stable_vector import StableVectorEngine
-from ..runtime.tracing import ExecutionTrace, ProcessTrace
+from ..runtime.tracing import ExecutionTrace
 
 
-class PointConsensusProcess(ProtocolCore):
-    """One process of the point-valued baseline."""
-
-    def __init__(
-        self,
-        pid: int,
-        config: CCConfig,
-        input_point,
-        trace: ProcessTrace | None = None,
-    ):
-        self.pid = pid
-        self.config = config
-        self.input_point = np.asarray(input_point, dtype=float).reshape(-1)
-        self.trace = trace if trace is not None else ProcessTrace(
-            pid=pid, input_point=self.input_point.copy()
-        )
-        self._round = 0
-        self._done = False
-        self._point: np.ndarray | None = None
-        self._sv = StableVectorEngine(
-            pid=pid,
-            n=config.n,
-            f=config.f,
-            entry=InputTuple(value=freeze_point(self.input_point), sender=pid),
-        )
-        self._round_buffer: dict[int, dict[int, np.ndarray]] = {}
-        self._frozen: set[int] = set()
-
-    # ------------------------------------------------------------------
-    @property
-    def current_round(self) -> int:
-        return self._round
-
-    @property
-    def done(self) -> bool:
-        return self._done
+class PointConsensusProcess(CCSkeleton):
+    """One process of the point-valued baseline (singleton-polytope states)."""
 
     @property
     def output(self) -> np.ndarray | None:
-        return self._point.copy() if self._done else None
+        state = super().output
+        return None if state is None else state.vertices[0].copy()
 
-    def on_start(self) -> list[Outgoing]:
-        out: list[Outgoing] = [(None, p) for p in self._sv.start()]
-        out.extend(self._poll_sv())
-        return out
-
-    def on_message(self, payload: Payload, src: int) -> list[Outgoing]:
-        if isinstance(payload, SVInit):
-            echoes = self._sv.on_init(payload, src)
-        elif isinstance(payload, SVView):
-            echoes = self._sv.on_view(payload, src)
-        elif isinstance(payload, RoundMessage):
-            return self._on_round_message(payload)
-        else:  # pragma: no cover
-            raise TypeError(f"unexpected payload {type(payload)!r}")
-        out: list[Outgoing] = [(None, e) for e in echoes]
-        out.extend(self._poll_sv())
-        return out
-
-    # ------------------------------------------------------------------
-    def _poll_sv(self) -> list[Outgoing]:
-        if self._round != 0 or self._sv.result is None:
-            return []
-        self.trace.r_view = tuple(sorted(self._sv.result))
-        x_multiset = np.array(
-            [list(e.value) for e in sorted(self._sv.result)]
+    def initial_state(self, r_view: tuple[InputTuple, ...]) -> ConvexPolytope:
+        """The Steiner point of CC's own ``h_i[0]``."""
+        return ConvexPolytope.singleton(
+            steiner_point(self.subset_intersection(r_view))
         )
-        safe = intersect_subset_hulls(x_multiset, self.config.f)
-        if safe.is_empty:
-            raise RuntimeError(
-                f"baseline process {self.pid}: empty safe area (below bound?)"
-            )
-        self._point = steiner_point(safe)
-        self.trace.states[0] = ConvexPolytope.singleton(self._point)
-        return self._enter_round(1)
 
-    def _enter_round(self, t: int) -> list[Outgoing]:
-        self._round = t
-        msg = RoundMessage(
-            vertices=(tuple(float(v) for v in self._point),),
-            sender=self.pid,
-            round_index=t,
-        )
-        self._round_buffer.setdefault(t, {})[self.pid] = self._point
-        out: list[Outgoing] = [(None, msg)]
-        out.extend(self._maybe_complete())
-        return out
-
-    def _on_round_message(self, msg: RoundMessage) -> list[Outgoing]:
-        t = msg.round_index
-        if t in self._frozen or t < self._round:
-            return []
-        self._round_buffer.setdefault(t, {})[msg.sender] = np.array(
-            msg.vertices[0]
-        )
-        return self._maybe_complete()
-
-    def _maybe_complete(self) -> list[Outgoing]:
-        t = self._round
-        if self._done or t == 0:
-            return []
-        buffer = self._round_buffer.get(t, {})
-        if len(buffer) < self.config.quorum:
-            return []
-        self._frozen.add(t)
-        self._point = np.mean(np.array(list(buffer.values())), axis=0)
-        self.trace.states[t] = ConvexPolytope.singleton(self._point)
-        self.trace.round_senders[t] = tuple(sorted(buffer))
-        del self._round_buffer[t]
-        if t < self.config.t_end:
-            return self._enter_round(t + 1)
-        self._done = True
-        self.trace.decided = True
-        return []
+    def combine(self, received: dict[int, ConvexPolytope]) -> ConvexPolytope:
+        """The mean of the received points, in arrival order."""
+        points = np.array([poly.vertices[0] for poly in received.values()])
+        return ConvexPolytope.singleton(np.mean(points, axis=0))
 
 
 @dataclass
-class BaselineVCResult:
+class BaselineVCResult(PointOutputs):
     """Outputs of one baseline execution."""
 
     points: dict[int, np.ndarray]
@@ -173,17 +69,8 @@ class BaselineVCResult:
     report: SimulationReport
 
     @property
-    def fault_free_points(self) -> dict[int, np.ndarray]:
-        faulty = self.trace.faulty
-        return {p: v for p, v in self.points.items() if p not in faulty}
-
-    def max_pairwise_distance(self) -> float:
-        pts = list(self.fault_free_points.values())
-        worst = 0.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                worst = max(worst, float(np.linalg.norm(pts[i] - pts[j])))
-        return worst
+    def faulty(self) -> frozenset[int]:
+        return self.trace.faulty
 
 
 def run_baseline_vector_consensus(
@@ -197,36 +84,17 @@ def run_baseline_vector_consensus(
     input_bounds: tuple[float, float] | None = None,
 ) -> BaselineVCResult:
     """Run the point-valued baseline to termination."""
-    arr = np.asarray(inputs, dtype=float)
-    config = build_config(arr, f, eps, input_bounds=input_bounds)
-    plan = fault_plan or FaultPlan.none()
+    run = prepare_run(
+        inputs,
+        f,
+        eps,
+        fault_plan=fault_plan,
+        input_bounds=input_bounds,
+        core_cls=PointConsensusProcess,
+    )
     sched = scheduler or default_scheduler(seed=seed)
     sched.reset()
-    traces = [
-        ProcessTrace(pid=i, input_point=arr[i].copy()) for i in range(config.n)
-    ]
-    cores = [
-        PointConsensusProcess(
-            pid=i, config=config, input_point=arr[i], trace=traces[i]
-        )
-        for i in range(config.n)
-    ]
-    report = run_simulation(cores, fault_plan=plan, scheduler=sched)
-    trace = ExecutionTrace(
-        n=config.n,
-        f=config.f,
-        dim=config.dim,
-        eps=config.eps,
-        t_end=config.t_end,
-        fault_plan=plan,
-        seed=seed,
-        scheduler_name=type(sched).__name__,
-        processes=traces,
-        messages_sent=report.messages_sent,
-        messages_delivered=report.messages_delivered,
-        delivery_steps=report.delivery_steps,
-    )
-    points = {
-        core.pid: core.output for core in cores if core.done
-    }
-    return BaselineVCResult(points=points, trace=trace, report=report)
+    report = run_simulation(run.cores, fault_plan=run.plan, scheduler=sched)
+    result = run.result(report, seed=seed, scheduler_name=type(sched).__name__)
+    points = {core.pid: core.output for core in run.cores if core.done}
+    return BaselineVCResult(points=points, trace=result.trace, report=report)

@@ -118,9 +118,6 @@ class BCCProcess(ProtocolCore):
             return None
         return self._h[self.config.t_end]
 
-    def state_at(self, round_index: int) -> ConvexPolytope | None:
-        return self._h.get(round_index)
-
     def on_start(self) -> list[Outgoing]:
         out, delivered = self._rb.broadcast(0, freeze_point(self.input_point))
         self._note_deliveries(delivered)

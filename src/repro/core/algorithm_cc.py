@@ -25,9 +25,15 @@ Messages from rounds ahead of the local round are buffered (asynchrony lets
 neighbours race ahead); messages of a round arriving after its ``Y`` was
 frozen are ignored, exactly as in the paper's matrix construction where
 ``MSG_i[t]`` is pinned "at the point where Y_i[t] is defined".
+
+The round structure lives once, in :class:`CCSkeleton`; the baselines of
+:mod:`repro.baselines` run it too, supplying only how ``R_i`` becomes
+``h_i[0]`` and how the frozen ``MSG_i[t]`` is combined.
 """
 
 from __future__ import annotations
+
+from abc import abstractmethod
 
 import numpy as np
 
@@ -58,8 +64,18 @@ class EmptyInitialPolytopeError(RuntimeError):
     """
 
 
-class CCProcess(ProtocolCore):
-    """One process executing Algorithm CC (pure logic; shell adds faults)."""
+class CCSkeleton(ProtocolCore):
+    """Algorithm CC's round structure, shared by CC and its baselines.
+
+    Owns everything the cores share: the stable-vector round 0 (lines
+    1-4), the per-round buffers of ``MSG_i[t]`` with the stale-message
+    rule, the ``n - f`` freeze (lines 12-13), trace recording and the
+    decision after round ``t_end``.  A subclass supplies its two distinct
+    steps: :meth:`initial_state` turns the sorted view ``R_i`` into
+    ``h_i[0]``, and :meth:`combine` turns the frozen ``MSG_i[t]`` into
+    ``h_i[t]``.  States are polytopes throughout; the point-valued
+    baselines keep singletons, so their messages travel exactly as CC's.
+    """
 
     def __init__(
         self,
@@ -71,7 +87,6 @@ class CCProcess(ProtocolCore):
         self.pid = pid
         self.config = config
         self.input_point = np.asarray(input_point, dtype=float).reshape(-1)
-        config.check_input(self.input_point)
         self.trace = trace if trace is not None else ProcessTrace(
             pid=pid, input_point=self.input_point.copy()
         )
@@ -87,6 +102,27 @@ class CCProcess(ProtocolCore):
         # Per-round buffers of received (h, j, t) messages; sender -> polytope.
         self._round_buffer: dict[int, dict[int, ConvexPolytope]] = {}
         self._frozen_rounds: set[int] = set()
+
+    @abstractmethod
+    def initial_state(self, r_view: tuple[InputTuple, ...]) -> ConvexPolytope:
+        """Lines 4-5: the state ``h_i[0]`` computed from the sorted view."""
+
+    @abstractmethod
+    def combine(self, received: dict[int, ConvexPolytope]) -> ConvexPolytope:
+        """Line 14: ``h_i[t]`` from the frozen ``MSG_i[t]`` (arrival order)."""
+
+    def subset_intersection(
+        self, r_view: tuple[InputTuple, ...]
+    ) -> ConvexPolytope:
+        """Line 5: intersect ``H(C)`` over all ``|X_i| - f`` subsets of ``X_i``."""
+        x_multiset = np.array([list(entry.value) for entry in r_view])
+        h0 = intersect_subset_hulls(x_multiset, self.config.f)
+        if h0.is_empty:
+            raise EmptyInitialPolytopeError(
+                f"process {self.pid}: round-0 intersection empty "
+                f"(|X_i|={len(r_view)}, f={self.config.f}, d={self.config.dim})"
+            )
+        return h0
 
     # ------------------------------------------------------------------
     # ProtocolCore interface
@@ -104,9 +140,6 @@ class CCProcess(ProtocolCore):
         if not self._done:
             return None
         return self._h[self.config.t_end]
-
-    def state_at(self, round_index: int) -> ConvexPolytope | None:
-        return self._h.get(round_index)
 
     def on_start(self) -> list[Outgoing]:
         payloads = self._sv.start()
@@ -127,6 +160,97 @@ class CCProcess(ProtocolCore):
         out: list[Outgoing] = [(None, echo) for echo in echoes]
         out.extend(self._poll_stable_vector())
         return out
+
+    # ------------------------------------------------------------------
+    # Round 0
+    # ------------------------------------------------------------------
+    def _poll_stable_vector(self) -> list[Outgoing]:
+        """Line 3: once stable vector has returned ``R_i``, finish round 0."""
+        if self._round != 0 or self._sv.result is None:
+            return []
+        return self._complete_round0(self._sv.result)
+
+    def _complete_round0(self, view) -> list[Outgoing]:
+        """Lines 4-6: record ``R_i``, compute ``h_i[0]``, enter round 1."""
+        r_view = tuple(sorted(view))
+        self.trace.r_view = r_view
+        h0 = self.initial_state(r_view)
+        self._h[0] = h0
+        self.trace.states[0] = h0
+        return self._enter_round(1)
+
+    # ------------------------------------------------------------------
+    # Rounds t >= 1
+    # ------------------------------------------------------------------
+    def _enter_round(self, t: int) -> list[Outgoing]:
+        """Lines 7-10: advance to round t and broadcast ``h_i[t-1]``."""
+        self._round = t
+        message = RoundMessage(
+            vertices=freeze_vertices(self._h[t - 1].vertices),
+            sender=self.pid,
+            round_index=t,
+        )
+        # Line 8: the own message joins MSG_i[t] directly (no self-channel).
+        self._round_buffer.setdefault(t, {})[self.pid] = self._h[t - 1]
+        out: list[Outgoing] = [(None, message)]
+        out.extend(self._maybe_complete_round())
+        return out
+
+    def _on_round_message(self, msg: RoundMessage) -> list[Outgoing]:
+        """Lines 10-11 with asynchrony: buffer by round, ignore stale."""
+        t = msg.round_index
+        if t in self._frozen_rounds or t < self._round:
+            return []  # Y_i[t] already frozen; late arrivals are discarded.
+        # ``msg.vertices`` is always the sender's ``h_j[t-1].vertices`` —
+        # a vertex set the sender already minimized — so the receiver must
+        # not re-run the hull on it; the trusted (interned) constructor
+        # shares one polytope instance among all receivers of a broadcast.
+        poly = ConvexPolytope.from_trusted_vertices(
+            msg.vertices, dim=self.config.dim
+        )
+        self._round_buffer.setdefault(t, {})[msg.sender] = poly
+        return self._maybe_complete_round()
+
+    def _maybe_complete_round(self) -> list[Outgoing]:
+        """Lines 12-15: freeze ``Y_i[t]`` at the quorum and combine."""
+        t = self._round
+        if self._done or t == 0:
+            return []
+        buffer = self._round_buffer.get(t, {})
+        if len(buffer) < self.config.quorum:
+            return []
+        self._frozen_rounds.add(t)
+        h_t = self.combine(buffer)
+        self._h[t] = h_t
+        self.trace.states[t] = h_t
+        self.trace.round_senders[t] = tuple(sorted(buffer))
+        del self._round_buffer[t]
+        if t < self.config.t_end:
+            return self._enter_round(t + 1)
+        self._done = True
+        self.trace.decided = True
+        return []
+
+
+class CCProcess(CCSkeleton):
+    """One process executing Algorithm CC (pure logic; shell adds faults)."""
+
+    def __init__(
+        self,
+        pid: int,
+        config: CCConfig,
+        input_point,
+        trace: ProcessTrace | None = None,
+    ):
+        super().__init__(pid, config, input_point, trace)
+        config.check_input(self.input_point)
+
+    def initial_state(self, r_view: tuple[InputTuple, ...]) -> ConvexPolytope:
+        return self.subset_intersection(r_view)
+
+    def combine(self, received: dict[int, ConvexPolytope]) -> ConvexPolytope:
+        """``L(Y_i[t]; [1/|Y_i[t]|, ...])``, operands in sender order."""
+        return equal_weight_combination([received[s] for s in sorted(received)])
 
     # ------------------------------------------------------------------
     # Checkpointing (crash-recovery support)
@@ -233,77 +357,3 @@ class CCProcess(ProtocolCore):
         }
         core._frozen_rounds = set(int(t) for t in data["frozen_rounds"])
         return core
-
-    # ------------------------------------------------------------------
-    # Round 0
-    # ------------------------------------------------------------------
-    def _poll_stable_vector(self) -> list[Outgoing]:
-        """Lines 3-6: when stable vector has returned, compute ``h_i[0]``."""
-        if self._round != 0 or self._sv.result is None:
-            return []
-        r_view = tuple(sorted(self._sv.result))
-        self.trace.r_view = r_view
-        x_multiset = np.array([list(entry.value) for entry in r_view])
-        h0 = intersect_subset_hulls(x_multiset, self.config.f)
-        if h0.is_empty:
-            raise EmptyInitialPolytopeError(
-                f"process {self.pid}: round-0 intersection empty "
-                f"(|X_i|={len(r_view)}, f={self.config.f}, d={self.config.dim})"
-            )
-        self._h[0] = h0
-        self.trace.states[0] = h0
-        return self._enter_round(1)
-
-    # ------------------------------------------------------------------
-    # Rounds t >= 1
-    # ------------------------------------------------------------------
-    def _enter_round(self, t: int) -> list[Outgoing]:
-        """Lines 7-10: advance to round t and broadcast ``h_i[t-1]``."""
-        self._round = t
-        message = RoundMessage(
-            vertices=freeze_vertices(self._h[t - 1].vertices),
-            sender=self.pid,
-            round_index=t,
-        )
-        # Line 8: the own message joins MSG_i[t] directly (no self-channel).
-        self._round_buffer.setdefault(t, {})[self.pid] = self._h[t - 1]
-        out: list[Outgoing] = [(None, message)]
-        out.extend(self._maybe_complete_round())
-        return out
-
-    def _on_round_message(self, msg: RoundMessage) -> list[Outgoing]:
-        """Lines 10-11 with asynchrony: buffer by round, ignore stale."""
-        t = msg.round_index
-        if t in self._frozen_rounds or t < self._round:
-            return []  # Y_i[t] already frozen; late arrivals are discarded.
-        # ``msg.vertices`` is always the sender's ``h_j[t-1].vertices`` —
-        # a vertex set the sender already minimized — so the receiver must
-        # not re-run the hull on it; the trusted (interned) constructor
-        # shares one polytope instance among all receivers of a broadcast.
-        poly = ConvexPolytope.from_trusted_vertices(
-            msg.vertices, dim=self.config.dim
-        )
-        self._round_buffer.setdefault(t, {})[msg.sender] = poly
-        return self._maybe_complete_round()
-
-    def _maybe_complete_round(self) -> list[Outgoing]:
-        """Lines 12-15: freeze ``Y_i[t]`` at the quorum and combine."""
-        t = self._round
-        if self._done or t == 0:
-            return []
-        buffer = self._round_buffer.get(t, {})
-        if len(buffer) < self.config.quorum:
-            return []
-        self._frozen_rounds.add(t)
-        senders = tuple(sorted(buffer))
-        polytopes = [buffer[s] for s in senders]
-        h_t = equal_weight_combination(polytopes)
-        self._h[t] = h_t
-        self.trace.states[t] = h_t
-        self.trace.round_senders[t] = senders
-        del self._round_buffer[t]
-        if t < self.config.t_end:
-            return self._enter_round(t + 1)
-        self._done = True
-        self.trace.decided = True
-        return []

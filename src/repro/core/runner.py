@@ -109,9 +109,10 @@ def cc_core_factory(config: CCConfig, inputs: np.ndarray, traces):
 class PreparedRun:
     """One run's configuration, traced cores and recovery factory.
 
-    Shared by every entry point that runs Algorithm CC or BCC on inputs:
-    :func:`run_convex_hull_consensus`, the lockstep runtime and the
-    asyncio runtime differ only in how they drive :attr:`cores`.
+    Shared by every entry point that runs Algorithm CC, BCC or a baseline
+    core on inputs: :func:`run_convex_hull_consensus`, the lockstep and
+    asyncio runtimes and the baseline runners differ only in how they
+    drive :attr:`cores`.
     """
 
     config: CCConfig
@@ -151,8 +152,13 @@ def prepare_run(
     input_bounds: tuple[float, float] | None = None,
     enforce_resilience: bool = True,
     algorithm: str = "cc",
+    core_cls=None,
 ) -> PreparedRun:
     """Validate a run's parameters and build its traced cores.
+
+    ``core_cls`` overrides the algorithm's core class; the baselines pass
+    theirs here, so every runner builds its cores and trace in one place.
+    Only Algorithm CC's own cores get a crash-recovery factory.
 
     Raises ``ValueError`` for an unknown algorithm, a BCC run with
     crash-recovery, or a Byzantine plan beyond the configured tolerance.
@@ -188,13 +194,13 @@ def prepare_run(
     traces = [
         ProcessTrace(pid=i, input_point=pts[i].copy()) for i in range(config.n)
     ]
-    core_cls = BCCProcess if algorithm == "bcc" else CCProcess
-    cores = [
-        core_cls(pid=i, config=config, input_point=pts[i], trace=traces[i])
-        for i in range(config.n)
-    ]
+    if core_cls is None:
+        core_cls = BCCProcess if algorithm == "bcc" else CCProcess
+    cores = [core_cls(i, config, pts[i], traces[i]) for i in range(config.n)]
     factory = (
-        cc_core_factory(config, pts, traces) if plan.recoveries else None
+        cc_core_factory(config, pts, traces)
+        if plan.recoveries and core_cls is CCProcess
+        else None
     )
     return PreparedRun(
         config=config, plan=plan, traces=traces, cores=cores, core_factory=factory

@@ -29,16 +29,15 @@ from ..runtime.scheduler import Scheduler
 from .runner import CCResult, run_convex_hull_consensus
 
 
-@dataclass
-class VectorConsensusResult:
-    """Per-process points plus the underlying CC execution."""
+class PointOutputs:
+    """Accessors shared by every result whose processes decide points.
 
-    points: dict[int, np.ndarray]
-    cc_result: CCResult
+    A subclass provides ``points`` (pid -> decided point) and ``faulty``.
+    """
 
     @property
     def fault_free_points(self) -> dict[int, np.ndarray]:
-        faulty = self.cc_result.trace.faulty
+        faulty = self.faulty
         return {pid: p for pid, p in self.points.items() if pid not in faulty}
 
     def max_pairwise_distance(self) -> float:
@@ -48,6 +47,18 @@ class VectorConsensusResult:
             for j in range(i + 1, len(pts)):
                 worst = max(worst, float(np.linalg.norm(pts[i] - pts[j])))
         return worst
+
+
+@dataclass
+class VectorConsensusResult(PointOutputs):
+    """Per-process points plus the underlying CC execution."""
+
+    points: dict[int, np.ndarray]
+    cc_result: CCResult
+
+    @property
+    def faulty(self) -> frozenset[int]:
+        return self.cc_result.trace.faulty
 
 
 def run_vector_consensus(

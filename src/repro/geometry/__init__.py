@@ -78,7 +78,6 @@ from .shared_cache import (
     shared_cache_enabled,
 )
 from .steiner import steiner_lipschitz_bound, steiner_point
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .tverberg import (
     common_point_of_hulls,
     radon_partition,
@@ -99,7 +98,6 @@ from .width import (
 __all__ = [
     "AffineChart",
     "ConvexPolytope",
-    "DEFAULT_TOLERANCES",
     "PERF",
     "PerfCounters",
     "DegenerateInputError",
@@ -109,7 +107,6 @@ __all__ = [
     "HullComputationError",
     "InfeasibleRegionError",
     "SolverError",
-    "Tolerances",
     "affine_chart",
     "box",
     "affine_rank",

@@ -171,25 +171,3 @@ def hull_vertices(points, rank_tol: float = RANK_TOL) -> np.ndarray:
         # extreme; Qhull needs at least d+1 points anyway.
         return pts.copy()
     return _hull_vertices_qhull(pts)
-
-
-def is_extreme_point_set(vertices: np.ndarray, rank_tol: float = RANK_TOL) -> bool:
-    """True when no vertex is a convex combination of the others.
-
-    Used by tests to assert minimality of the representations produced by
-    :func:`hull_vertices`.  Quadratic in the number of vertices; intended
-    for verification, not hot paths.
-    """
-    from .projection import project_onto_hull  # local import to avoid a cycle
-
-    verts = as_points_array(vertices)
-    m = verts.shape[0]
-    if m <= 1:
-        return True
-    scale = max(float(np.max(np.abs(verts))), 1.0)
-    for i in range(m):
-        others = np.delete(verts, i, axis=0)
-        projected, _ = project_onto_hull(verts[i], others)
-        if np.linalg.norm(projected - verts[i]) <= 1e-7 * scale:
-            return False
-    return True

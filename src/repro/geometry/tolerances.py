@@ -13,8 +13,6 @@ accumulated by the hull / intersection / Minkowski pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Absolute tolerance for coordinate-level comparisons (point equality,
 #: halfspace membership, interval endpoints).
 ABS_TOL: float = 1e-9
@@ -46,35 +44,3 @@ DEPTH_SIDE_TOL: float = 1e-9
 #: Default tolerance used by invariant checkers in the consensus layer when
 #: verifying validity / containment claims produced by this geometry stack.
 INVARIANT_TOL: float = 1e-6
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """A bundled tolerance configuration.
-
-    Library functions accept an optional ``tol`` argument; when omitted they
-    use :data:`DEFAULT_TOLERANCES`.  Carrying the bundle around (rather than
-    scattering literals) lets experiments run the same code at different
-    strictness levels, e.g. when stress-testing degeneracy handling.
-    """
-
-    abs_tol: float = ABS_TOL
-    membership_tol: float = MEMBERSHIP_TOL
-    degeneracy_tol: float = DEGENERACY_TOL
-    volume_rtol: float = VOLUME_RTOL
-    rank_tol: float = RANK_TOL
-
-    def scaled(self, factor: float) -> "Tolerances":
-        """Return a copy with every tolerance multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError(f"tolerance scale factor must be positive, got {factor}")
-        return Tolerances(
-            abs_tol=self.abs_tol * factor,
-            membership_tol=self.membership_tol * factor,
-            degeneracy_tol=self.degeneracy_tol * factor,
-            volume_rtol=self.volume_rtol * factor,
-            rank_tol=self.rank_tol * factor,
-        )
-
-
-DEFAULT_TOLERANCES = Tolerances()

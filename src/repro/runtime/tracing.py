@@ -83,13 +83,6 @@ class ProcessTrace:
         for states in (*self.pre_recovery_states, self.states):
             yield from states.items()
 
-    def state_at(self, round_index: int) -> ConvexPolytope | None:
-        return self.states.get(round_index)
-
-    @property
-    def rounds_completed(self) -> int:
-        return max(self.states.keys(), default=-1)
-
 
 @dataclass
 class ExecutionTrace:

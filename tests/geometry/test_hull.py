@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.geometry.hull import (
-    hull_vertices,
-    hull_vertices_1d,
-    hull_vertices_2d,
-    is_extreme_point_set,
-)
+from repro.geometry.hull import hull_vertices, hull_vertices_1d, hull_vertices_2d
+from tests.oracles.hull import is_extreme_point_set
 
 
 class TestHull1d:

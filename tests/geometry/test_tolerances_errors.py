@@ -11,39 +11,15 @@ from repro.geometry.errors import (
     InfeasibleRegionError,
     SolverError,
 )
-from repro.geometry.tolerances import DEFAULT_TOLERANCES, Tolerances
+from repro.geometry.tolerances import ABS_TOL, MEMBERSHIP_TOL, RANK_TOL
 
 
 class TestTolerances:
     def test_defaults_are_ordered_sanely(self):
-        t = DEFAULT_TOLERANCES
         # Membership tolerance must absorb the compounding of abs-level
         # noise through multi-step pipelines.
-        assert t.membership_tol > t.abs_tol
-        assert t.rank_tol > t.abs_tol
-
-    def test_scaled(self):
-        t = DEFAULT_TOLERANCES.scaled(10.0)
-        assert t.abs_tol == pytest.approx(DEFAULT_TOLERANCES.abs_tol * 10)
-        assert t.membership_tol == pytest.approx(
-            DEFAULT_TOLERANCES.membership_tol * 10
-        )
-
-    def test_scaled_validates(self):
-        with pytest.raises(ValueError):
-            DEFAULT_TOLERANCES.scaled(0.0)
-        with pytest.raises(ValueError):
-            DEFAULT_TOLERANCES.scaled(-1.0)
-
-    def test_immutability(self):
-        with pytest.raises(AttributeError):
-            DEFAULT_TOLERANCES.abs_tol = 1.0  # frozen dataclass
-
-    def test_custom_bundle(self):
-        t = Tolerances(abs_tol=1e-6)
-        assert t.abs_tol == 1e-6
-        # Other fields keep defaults.
-        assert t.membership_tol == DEFAULT_TOLERANCES.membership_tol
+        assert MEMBERSHIP_TOL > ABS_TOL
+        assert RANK_TOL > ABS_TOL
 
 
 class TestErrorHierarchy:
