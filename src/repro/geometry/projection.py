@@ -6,11 +6,13 @@ Hausdorff metric of the paper's epsilon-agreement property).  The problem
     minimise   || V^T lam - p ||^2
     subject to lam >= 0,  sum(lam) = 1
 
-is a simplex-constrained least-squares QP.  We solve it with FISTA
-(accelerated projected gradient) using the exact O(m log m) projection onto
-the probability simplex, followed by a support-polish step that solves the
-equality-constrained least-squares problem restricted to the active support
-and verifies the KKT conditions.  No external QP solver is required.
+is a simplex-constrained least-squares QP.  In one dimension the hull is
+an interval and the answer is an exact clamp.  Otherwise we solve it with
+FISTA (accelerated projected gradient) using the exact O(m log m)
+projection onto the probability simplex, followed by a support-polish step
+that solves the equality-constrained least-squares problem restricted to
+the active support and verifies the KKT conditions.  No external QP solver
+is required.
 """
 
 from __future__ import annotations
@@ -159,6 +161,38 @@ def _active_set_refine(
     return best_lam
 
 
+def _as_query_point(point) -> np.ndarray:
+    """``point`` as a flat float array, validated like the vertices."""
+    p = np.asarray(point, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("points must be finite (no NaN/inf)")
+    return p
+
+
+def _clamp_onto_interval(
+    p: np.ndarray, verts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 1-d projection: clamp ``p`` to the interval the vertices span.
+
+    ``lam`` weights only the argmin and argmax vertices.
+    """
+    column = verts[:, 0]
+    lo = int(np.argmin(column))
+    hi = int(np.argmax(column))
+    lam = np.zeros(verts.shape[0])
+    x = p[0]
+    if x <= column[lo]:
+        lam[lo] = 1.0
+        return verts[lo].copy(), lam
+    if x >= column[hi]:
+        lam[hi] = 1.0
+        return verts[hi].copy(), lam
+    weight = (x - column[lo]) / (column[hi] - column[lo])
+    lam[lo] = 1.0 - weight
+    lam[hi] = weight
+    return p.copy(), lam
+
+
 def project_onto_hull(
     point,
     vertices,
@@ -172,15 +206,22 @@ def project_onto_hull(
     the closest point of the hull and ``lam`` are the convex-combination
     coefficients (one per input vertex).
 
-    Raises :class:`EmptyPolytopeError` for an empty vertex set.
+    A point with one coordinate is clamped to ``[min, max]`` of the
+    vertices, which is exact; higher dimensions run FISTA and the
+    active-set polish.
+
+    Raises :class:`EmptyPolytopeError` for an empty vertex set and
+    ``ValueError`` for a non-finite point.
     """
-    p = np.asarray(point, dtype=float).reshape(-1)
+    p = _as_query_point(point)
     verts = as_points_array(vertices, dim=p.size)
     m = verts.shape[0]
     if m == 0:
         raise EmptyPolytopeError("cannot project onto the hull of zero points")
     if m == 1:
         return verts[0].copy(), np.array([1.0])
+    if p.size == 1:
+        return _clamp_onto_interval(p, verts)
 
     # Fast exit: if the point coincides with a vertex.
     dists_sq = np.einsum("ij,ij->i", verts - p, verts - p)
@@ -225,9 +266,13 @@ def project_onto_hull(
 
 def distance_to_hull(point, vertices) -> float:
     """Euclidean distance from ``point`` to ``conv(vertices)``."""
-    projection, _ = project_onto_hull(point, vertices)
-    p = np.asarray(point, dtype=float).reshape(-1)
-    return float(np.linalg.norm(projection - p))
+    p = _as_query_point(point)
+    projection, _ = project_onto_hull(p, vertices)
+    diff = projection - p
+    if diff.size == 1:
+        # |diff| directly: the squared norm would underflow below ~1e-154.
+        return abs(float(diff[0]))
+    return float(np.linalg.norm(diff))
 
 
 def point_in_hull(point, vertices, tol: float = 1e-7) -> bool:
@@ -236,7 +281,7 @@ def point_in_hull(point, vertices, tol: float = 1e-7) -> bool:
     Scale-aware: the tolerance is interpreted relative to the magnitude of
     the coordinates involved (with a floor of the absolute tolerance).
     """
-    p = np.asarray(point, dtype=float).reshape(-1)
+    p = _as_query_point(point)
     verts = as_points_array(vertices, dim=p.size)
     if verts.shape[0] == 0:
         return False

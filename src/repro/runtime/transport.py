@@ -44,14 +44,31 @@ instead of hanging, the run aborts with :class:`TransportBudgetError`
 (a :class:`~repro.runtime.simulator.SimulationError`) once the fabric
 clock exceeds the delivery budget — exponential backoff reaches any
 budget in logarithmically many retries, so the abort is prompt.
+
+Cost per fabric frame: each link's spec is resolved once, when the
+fabric is built; :meth:`LossyFabric.ready_frames` walks one list of the
+links that have carried a frame, kept sorted by ``(src, dst)``, and
+checks partition windows only on links that have any; retransmission
+timers sit in a heap of ``(next_retry, link_rank, seq, link)`` that
+:meth:`TransportNetwork.pump` pops and fires in ``(link_rank, seq)``
+order: the order links first carried a reliable frame, then sequence
+number.  That order is load-bearing: each retransmission moves
+``in_flight``, which the next timeout reads.  A ready set maintained
+incrementally, as :meth:`~repro.runtime.network.Network.ready_view` does
+for the structural network, was prototyped against the sorted scan and
+did not pay at n=8 (3.19-3.50 against 3.30-3.38 ``lossy-1d`` cases/s,
+2-CPU VM), so the scan stays.  ``tests/oracles/transport.py`` keeps the
+full scans both orders must match.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter, itemgetter
 from typing import Callable
 
 from ..geometry.cache import PERF
@@ -129,6 +146,11 @@ def frame_checksum(frame: Frame) -> int:
     )
 
 
+#: Sort keys: a link queue by (release, order), the link scan by link.
+_release_key = attrgetter("release", "order")
+_link_key = itemgetter(0)
+
+
 class LossyFabric:
     """The fair-lossy physical layer: per-link drop/dup/delay/partition.
 
@@ -148,20 +170,34 @@ class LossyFabric:
         self.n = n
         self.plan = plan
         self.clock = 0
+        #: Frames queued on all links, kept by :meth:`_enqueue` and
+        #: :meth:`deliver`.
+        self.in_flight = 0
+        # Every directed link's spec, resolved once.
+        self._specs: dict[tuple[int, int], LinkFaultSpec] = {
+            (src, dst): plan.spec(src, dst)
+            for src in range(n)
+            for dst in range(n)
+            if src != dst
+        }
         self._queues: dict[tuple[int, int], list[Frame]] = {}
+        # The links that have carried a frame, sorted by (src, dst): the
+        # scan order of ready_frames.  Each entry holds the link's queue
+        # and, only when the link has partition windows, its spec.
+        self._scan: list[tuple[tuple[int, int], list[Frame], LinkFaultSpec | None]] = []
         self._rngs: dict[tuple[int, int], object] = {}
         self._order = 0
         # Finite heal times of every partition interval on every link,
         # sorted; crossing one while advancing the clock counts a heal.
-        heals: list[int] = []
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                for _start, heal in plan.spec(src, dst).partitions:
-                    if heal is not None:
-                        heals.append(heal)
-        self._pending_heals = sorted(heals, reverse=True)
+        self._pending_heals = sorted(
+            (
+                heal
+                for spec in self._specs.values()
+                for _start, heal in spec.partitions
+                if heal is not None
+            ),
+            reverse=True,
+        )
 
     def _rng(self, src: int, dst: int):
         key = (src, dst)
@@ -180,7 +216,7 @@ class LossyFabric:
         delay and reorder) so the per-link RNG stream is consumed
         identically across replays.
         """
-        spec = self.plan.spec(frame.src, frame.dst)
+        spec = self._specs[frame.src, frame.dst]
         if spec.partitioned_at(self.clock):
             PERF.link_drops += 1
             return False
@@ -215,21 +251,26 @@ class LossyFabric:
     def _enqueue(self, frame: Frame) -> None:
         self._order += 1
         frame.order = self._order
-        queue = self._queues.setdefault((frame.src, frame.dst), [])
-        insort(queue, frame, key=lambda f: (f.release, f.order))
+        key = (frame.src, frame.dst)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = []
+            spec = self._specs[key]
+            insort(self._scan, (key, queue, spec if spec.partitions else None), key=_link_key)
+        insort(queue, frame, key=_release_key)
+        self.in_flight += 1
 
     def ready_frames(self) -> list[Frame]:
         """Deliverable link heads, in deterministic ``(src, dst)`` order."""
+        clock = self.clock
         out = []
-        for key in sorted(self._queues):
-            queue = self._queues[key]
-            if not queue:
-                continue
-            if self.plan.spec(*key).partitioned_at(self.clock):
-                continue
-            head = queue[0]
-            if head.release <= self.clock:
-                out.append(head)
+        for _key, queue, partitioned in self._scan:
+            if queue:
+                head = queue[0]
+                if head.release <= clock and (
+                    partitioned is None or not partitioned.partitioned_at(clock)
+                ):
+                    out.append(head)
         return out
 
     def deliver(self, frame: Frame) -> None:
@@ -238,6 +279,7 @@ class LossyFabric:
         if not queue or queue[0] is not frame:
             raise ChannelError("scheduler chose a non-head frame")
         queue.pop(0)
+        self.in_flight -= 1
         self.advance_to(self.clock + 1)
 
     def advance_to(self, clock: int) -> None:
@@ -269,17 +311,13 @@ class LossyFabric:
         for key, queue in self._queues.items():
             if not queue:
                 continue
-            available = self._available_from(self.plan.spec(*key), self.clock)
+            available = self._available_from(self._specs[key], self.clock)
             if available is None:
                 continue
             candidate = max(queue[0].release, available)
             if best is None or candidate < best:
                 best = candidate
         return best
-
-    @property
-    def in_flight(self) -> int:
-        return sum(len(q) for q in self._queues.values())
 
 
 @dataclass
@@ -323,6 +361,13 @@ class TransportNetwork:
         self.messages_delivered = 0
         self._send_seq: dict[tuple[int, int], int] = {}
         self._unacked: dict[tuple[int, int], dict[int, _Pending]] = {}
+        # Retransmission timers: a heap of (next_retry, link_rank, seq,
+        # link), where link_rank is the order in which the link entered
+        # ``_unacked``.  An entry is live while its frame is unacked and
+        # still due at that next_retry; acked frames leave dead entries
+        # behind, which are skipped when they surface.
+        self._link_rank: dict[tuple[int, int], int] = {}
+        self._timers: list[tuple[int, int, int, tuple[int, int]]] = []
         self._expected: dict[tuple[int, int], int] = {}
         self._stash: dict[tuple[int, int], dict[int, Frame]] = {}
         # Independent boundary counters — the end-to-end ChannelError
@@ -360,11 +405,13 @@ class TransportNetwork:
         frame.checksum = frame_checksum(frame)
         self.messages_sent += 1
         if self.reliable:
-            self._unacked.setdefault(link, {})[seq] = _Pending(
-                frame=frame,
-                attempt=1,
-                next_retry=self.fabric.clock + self._rto(link, seq, 1),
-            )
+            pending = self._unacked.get(link)
+            if pending is None:
+                pending = self._unacked[link] = {}
+                self._link_rank[link] = len(self._link_rank)
+            next_retry = self.fabric.clock + self._rto(link, seq, 1)
+            pending[seq] = _Pending(frame=frame, attempt=1, next_retry=next_retry)
+            heapq.heappush(self._timers, (next_retry, self._link_rank[link], seq, link))
         self.fabric.send(replace(frame))
 
     @property
@@ -616,13 +663,33 @@ class TransportNetwork:
             )
         if not self.reliable:
             return
-        for link, pending in self._unacked.items():
-            for seq, entry in pending.items():
-                if entry.next_retry <= clock:
-                    entry.attempt += 1
-                    PERF.retransmissions += 1
-                    self.fabric.send(replace(entry.frame, attempt=entry.attempt))
-                    entry.next_retry = clock + self._rto(link, seq, entry.attempt)
+        # Expired timers fire in (link_rank, seq) order: each send moves
+        # ``in_flight``, which the next ``_rto`` reads.
+        due: dict[tuple[int, int], tuple[tuple[int, int], _Pending]] = {}
+        while (next_retry := self._next_retry()) is not None and next_retry <= clock:
+            _, rank, seq, link = heapq.heappop(self._timers)
+            due[rank, seq] = (link, self._unacked[link][seq])
+        for rank, seq in sorted(due):
+            link, entry = due[rank, seq]
+            entry.attempt += 1
+            PERF.retransmissions += 1
+            self.fabric.send(replace(entry.frame, attempt=entry.attempt))
+            entry.next_retry = clock + self._rto(link, seq, entry.attempt)
+            heapq.heappush(self._timers, (entry.next_retry, rank, seq, link))
+
+    def _next_retry(self) -> int | None:
+        """The earliest live retransmission deadline (None = no timer).
+
+        Drops the dead entries (acked frames) it finds on top of the heap.
+        """
+        timers = self._timers
+        while timers:
+            next_retry, _rank, seq, link = timers[0]
+            entry = self._unacked[link].get(seq)
+            if entry is not None and entry.next_retry == next_retry:
+                return next_retry
+            heapq.heappop(timers)
+        return None
 
     @property
     def total_unacked(self) -> int:
@@ -636,14 +703,9 @@ class TransportNetwork:
 
     def advance_idle(self) -> None:
         """Nothing deliverable now: jump the clock to the next event."""
-        candidates = []
-        release = self.fabric.next_release()
-        if release is not None:
-            candidates.append(release)
-        if self.reliable:
-            for pending in self._unacked.values():
-                for entry in pending.values():
-                    candidates.append(entry.next_retry)
+        candidates = [
+            t for t in (self.fabric.next_release(), self._next_retry()) if t is not None
+        ]
         if not candidates:
             raise SimulationError("advance_idle() called with no pending work")
         self.fabric.advance_to(max(min(candidates), self.fabric.clock + 1))

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from repro.geometry.errors import EmptyPolytopeError
+from repro.geometry.polytope import ConvexPolytope
 from repro.geometry.projection import (
     distance_to_hull,
     point_in_hull,
@@ -168,3 +169,41 @@ class TestPointInHull:
         verts = np.array([[0, 0], [1e6, 0], [0, 1e6]], dtype=float)
         assert point_in_hull([1e5, 1e5], verts)
         assert not point_in_hull([1e6, 1e6], verts)
+
+
+class TestNonFiniteQueryPoint:
+    """A NaN or infinite query point is rejected, never projected.
+
+    Before this check a NaN point projected to the centroid (in 1-d, to
+    the midpoint), ``distance_to_hull`` returned NaN, and
+    ``check_validity`` read ``NaN > tol`` as false: a state with a NaN
+    vertex counted as valid.
+    """
+
+    SIMPLICES = {
+        1: [[0.0], [1.0]],
+        2: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        3: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_entry_point_raises(self, dim, bad):
+        verts = np.array(self.SIMPLICES[dim])
+        point = np.full(dim, 0.25)
+        point[-1] = bad
+        poly = ConvexPolytope.from_points(verts)
+        for query in (
+            lambda: project_onto_hull(point, verts),
+            lambda: distance_to_hull(point, verts),
+            lambda: point_in_hull(point, verts),
+            lambda: poly.distance_to_point(point),
+        ):
+            with pytest.raises(ValueError, match="points must be finite"):
+                query()
+
+    def test_single_vertex_and_empty_paths_raise_too(self):
+        with pytest.raises(ValueError, match="points must be finite"):
+            project_onto_hull([np.nan], [[2.0]])
+        with pytest.raises(ValueError, match="points must be finite"):
+            point_in_hull([np.nan], np.zeros((0, 1)))
