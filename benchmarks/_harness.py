@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.perf_counters import cache_hit_rate, counters_since, snapshot
 from repro.analysis.reporting import print_report, render_series, render_table
+from repro.geometry.cache import PERF
 
 __all__ = [
     "REPO_ROOT",
@@ -40,10 +40,44 @@ __all__ = [
     "render_table",
     "run_once",
     "run_recorded",
+    "shared_cache_hit_rate",
     "np",
 ]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def cache_hit_rate(counters: dict[str, int]) -> float:
+    """Fraction of memoizable geometry calls served from the in-memory LRU.
+
+    Aggregates subset-intersection and combination lookups; 0.0 when
+    nothing was looked up.  This is an **intra-worker** metric: the LRU
+    caches are per-process, so a rate summed over engine workers says
+    nothing about sharing between them (see :func:`shared_cache_hit_rate`).
+    """
+    lookups = counters.get("subset_intersection_calls", 0) + counters.get(
+        "combination_calls", 0
+    )
+    hits = counters.get("subset_intersection_cache_hits", 0) + counters.get(
+        "combination_cache_hits", 0
+    )
+    return hits / lookups if lookups else 0.0
+
+
+def shared_cache_hit_rate(counters: dict[str, int]) -> float:
+    """Fraction of shared-disk-cache lookups answered by another writer.
+
+    Only ``foreign`` hits count — entries written by another process or
+    an earlier run — so the rate measures cross-worker sharing.  0.0 when
+    the shared cache saw no lookups.
+    """
+    foreign = counters.get("shared_cache_hits_foreign", 0)
+    lookups = (
+        foreign
+        + counters.get("shared_cache_hits_local", 0)
+        + counters.get("shared_cache_misses", 0)
+    )
+    return foreign / lookups if lookups else 0.0
 
 
 def bench_json_path(stem: str) -> Path:
@@ -90,11 +124,11 @@ def record_calibrated(benchmark, stem, name, fn, *args, **kwargs):
     through their hit fields).
     """
     result = benchmark(fn, *args, **kwargs)
-    before = snapshot()
+    before = PERF.snapshot()
     start = time.perf_counter()
     fn(*args, **kwargs)
     seconds = time.perf_counter() - start
-    counters = counters_since(before)
+    counters = PERF.diff(before)
     record_bench(
         stem,
         name,
@@ -112,11 +146,11 @@ def run_recorded(benchmark, stem, name, fn, *args, **kwargs):
     the recorded counters are exactly the geometry work of one run, and
     the recorded wall-clock is the same run pytest-benchmark reports.
     """
-    before = snapshot()
+    before = PERF.snapshot()
     start = time.perf_counter()
     result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
     seconds = time.perf_counter() - start
-    counters = counters_since(before)
+    counters = PERF.diff(before)
     record_bench(
         stem,
         name,

@@ -28,10 +28,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _harness import record_bench  # noqa: E402
+from _harness import record_bench, shared_cache_hit_rate  # noqa: E402
 from repro.analysis.engine import TaskSpec, run_grid, task_key  # noqa: E402
 from repro.analysis.metrics import convergence_series  # noqa: E402
-from repro.analysis.perf_counters import shared_cache_hit_rate  # noqa: E402
 from repro.workloads.scenarios import benign  # noqa: E402
 
 

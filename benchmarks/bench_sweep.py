@@ -22,9 +22,8 @@ import os
 
 import pytest
 
-from _harness import record_bench
+from _harness import cache_hit_rate, record_bench
 from repro.analysis.engine import run_grid
-from repro.analysis.perf_counters import cache_hit_rate
 from repro.analysis.sweeps import scenario_grid
 
 pytestmark = pytest.mark.slow

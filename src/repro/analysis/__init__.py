@@ -18,18 +18,6 @@ from .metrics import (
     cost_summary,
     output_size_report,
 )
-from .perf_counters import (
-    PERF,
-    PerfCounters,
-    cache_hit_rate,
-    cache_stats,
-    counters_dict,
-    counters_since,
-    measure,
-    reset_perf_counters,
-    shared_cache_hit_rate,
-    snapshot,
-)
 from .engine import (
     EngineReport,
     TaskResult,
@@ -53,26 +41,19 @@ __all__ = [
     "CostSummary",
     "EngineReport",
     "OutputSizeReport",
-    "PERF",
-    "PerfCounters",
     "QuorumReport",
     "QuorumRound",
     "SweepRow",
     "SweepSummary",
     "TaskResult",
     "TaskSpec",
-    "cache_hit_rate",
-    "cache_stats",
     "convergence_series",
     "cost_summary",
-    "counters_dict",
-    "counters_since",
     "delta",
     "dump_trace",
     "explain_contraction",
     "format_value",
     "is_scrambling",
-    "measure",
     "lambda_coefficient",
     "lemma3_chain_bound",
     "load_trace",
@@ -84,11 +65,8 @@ __all__ = [
     "quorum_report",
     "render_series",
     "render_table",
-    "reset_perf_counters",
     "run_grid",
     "run_sweep",
-    "shared_cache_hit_rate",
-    "snapshot",
     "spark",
     "sweep_scenario",
     "task_key",

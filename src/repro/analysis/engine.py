@@ -91,7 +91,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
-from .perf_counters import counters_since, snapshot
+from ..geometry.cache import PERF
 
 __all__ = [
     "EngineReport",
@@ -306,7 +306,7 @@ def _execute_task(
     they attribute exactly the geometry work of this cell (workers run
     one cell at a time).
     """
-    before = snapshot()
+    before = PERF.snapshot()
     start = time.perf_counter()
     attempts = 0
     error: BaseException | None = None
@@ -329,7 +329,7 @@ def _execute_task(
                 if delay > 0.0:
                     time.sleep(delay)
     seconds = time.perf_counter() - start
-    counters = counters_since(before)
+    counters = PERF.diff(before)
     if error is not None:
         return TaskResult(
             key=spec.key,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 
 from .analysis.reporting import render_table
 from .analysis.serialization import dump_trace, load_trace
@@ -206,6 +207,12 @@ def _summarise(result, out=None) -> None:
     )
 
 
+def _print_counters(counters: dict[str, int]) -> None:
+    """Print a run's whole counter dict, zeros included, as sorted name=value pairs."""
+    pairs = " ".join(f"{name}={value}" for name, value in sorted(counters.items()))
+    print(textwrap.fill(pairs, width=100, initial_indent="counters: ", subsequent_indent="  "))
+
+
 def _check_and_report(trace, *, matrix_checks: bool, out=None) -> bool:
     out = out if out is not None else sys.stdout
     report = check_all(trace)
@@ -336,35 +343,9 @@ def cmd_consensus(args) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     _summarise(result)
-    counters = result.report.perf_counters
-    print(
-        f"reliability: retransmissions={counters.get('retransmissions', 0)} "
-        f"dup_drops={counters.get('dup_drops', 0)} "
-        f"shared_cache_errors={counters.get('shared_cache_errors', 0)}"
-    )
-    if link_plan is not None:
-        print(
-            f"transport: acks={counters.get('ack_messages', 0)} "
-            f"link_drops={counters.get('link_drops', 0)} "
-            f"corrupt_drops={counters.get('corrupt_drops', 0)} "
-            f"partition_heals={counters.get('partition_heals', 0)} "
-            f"crashed_app_drops={counters.get('crashed_app_drops', 0)}"
-        )
-    if plan.byzantine:
-        print(
-            f"adversary: equivocations={counters.get('byz_equivocations', 0)} "
-            f"forgeries={counters.get('byz_forgeries', 0)} "
-            f"omissions={counters.get('byz_omissions', 0)}"
-        )
+    _print_counters(result.report.perf_counters)
     if plan.recoveries:
-        print(
-            f"recovery: recovered={sorted(result.report.recovered)} "
-            f"restarts={counters.get('recovery_restarts', 0)} "
-            f"checkpoint_saves={counters.get('checkpoint_saves', 0)} "
-            f"checkpoint_restores={counters.get('checkpoint_restores', 0)} "
-            f"checkpoint_corruptions="
-            f"{counters.get('checkpoint_corruptions', 0)}"
-        )
+        print(f"recovery: recovered={sorted(result.report.recovered)}")
     ok = _check_and_report(result.trace, matrix_checks=args.matrix)
     if args.dump:
         dump_trace(result.trace, args.dump)
@@ -383,7 +364,6 @@ def cmd_sweep(args) -> int:
     if args.name not in scenario_mod.ALL_SCENARIOS:
         print(f"unknown scenario {args.name!r}; see list-scenarios", file=sys.stderr)
         return 2
-    from .analysis.perf_counters import cache_hit_rate, shared_cache_hit_rate
     from .analysis.sweeps import SweepSummary, run_sweep
 
     run_dir = args.resume if args.resume is not None else args.run_dir
@@ -414,29 +394,12 @@ def cmd_sweep(args) -> int:
             summary.table_rows(),
         )
     )
-    counters = engine.counters
     print(
         f"engine: workers={engine.workers} executed={engine.executed} "
         f"reused={engine.reused} failed={engine.failed} "
-        f"wall={engine.wall_seconds:.2f}s cell-time={engine.cell_seconds:.2f}s "
-        f"hull_calls={counters.get('hull_calls', 0)} "
-        f"lru_hit_rate={cache_hit_rate(counters):.2f}"
+        f"wall={engine.wall_seconds:.2f}s cell-time={engine.cell_seconds:.2f}s"
     )
-    print(
-        f"reliability: retransmissions={counters.get('retransmissions', 0)} "
-        f"dup_drops={counters.get('dup_drops', 0)} "
-        f"shared_cache_errors={counters.get('shared_cache_errors', 0)}"
-    )
-    if args.cache_dir is not None:
-        print(
-            "shared cache: "
-            f"foreign_hits={counters.get('shared_cache_hits_foreign', 0)} "
-            f"local_hits={counters.get('shared_cache_hits_local', 0)} "
-            f"misses={counters.get('shared_cache_misses', 0)} "
-            f"writes={counters.get('shared_cache_writes', 0)} "
-            f"errors={counters.get('shared_cache_errors', 0)} "
-            f"cross_worker_hit_rate={shared_cache_hit_rate(counters):.2f}"
-        )
+    _print_counters(engine.counters)
     if engine.run_dir is not None:
         print(f"checkpoints: {engine.run_dir}")
     for row in summary.rows:

@@ -119,14 +119,17 @@ def batch_directed_hausdorff(
         float(np.max(np.abs(src))), float(np.max(np.abs(tgt))), 1.0
     )
     margin = PRUNE_MARGIN * scale
+    one_d = source.dim == 1
     worst = 0.0
     for rank, idx in enumerate(order):
         if bounds[idx] <= worst - margin:
             PERF.batch_hausdorff_vertex_prunes += order.size - rank
             break
         vertex = src[idx]
-        projection, _ = project_onto_hull(vertex, tgt)
-        dist = float(np.linalg.norm(projection - vertex))
+        gap = project_onto_hull(vertex, tgt)[0] - vertex
+        # |gap| directly in 1-d, as in distance_to_hull: the squared norm
+        # underflows below ~1e-154 and overflows above ~1e154.
+        dist = abs(float(gap[0])) if one_d else float(np.linalg.norm(gap))
         if dist > worst:
             worst = dist
     return worst

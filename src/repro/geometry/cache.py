@@ -23,9 +23,8 @@ redundancy:
 * the :class:`PerfCounters` singleton :data:`PERF` — cheap monotonic
   counters (hull calls, cache hits/misses, LP solves, Minkowski candidate
   counts, depth fast-path routing and candidate-halfspace tallies)
-  incremented by the geometry hot paths and surfaced by
-  :mod:`repro.analysis.perf_counters`, the simulator report, and the
-  benchmark harness.
+  incremented by the geometry hot paths and surfaced by the simulator
+  report, the experiment engine, the CLI and the benchmark harness.
 
 Cached polytopes are immutable by design, so no invalidation story is
 needed.  The caches are process-global and not thread-safe (the

@@ -1,166 +1,151 @@
-"""asyncio-based runtime: the same protocols on real coroutines.
+"""asyncio-based runtime: the same protocols on real coroutines and timers.
 
 The discrete-event simulator (:mod:`repro.runtime.simulator`) explores
-delivery orders deterministically; this runtime demonstrates that the
-protocol cores are genuinely runtime-agnostic by executing them on live
-asyncio tasks with randomised (seeded) per-message delays:
+delivery orders deterministically; this runtime shows that the protocol
+cores are runtime-agnostic by letting live asyncio timers pick the order:
+one forwarder task per directed channel sleeps a seeded
+``uniform(0, max_delay)`` per message, so per-channel FIFO holds while
+real time interleaves the channels.
 
-* one forwarder coroutine per directed channel preserves FIFO order while
-  delays randomise cross-channel interleaving,
-* one handler coroutine per process consumes its inbox,
-* quiescence detection (no message in flight anywhere) ends the run.
-
-The same :class:`~repro.runtime.process.ProcessShell` wraps the cores, so
-crash specs (including mid-broadcast crashes) behave identically; only the
-interleaving source differs.  Shell set-up and the report are the
-simulator's.  Executions are *not* bit-reproducible across platforms —
-tests assert the algorithm's properties, never specific interleavings.
-Link faults are simulator-only: the lossy fabric and reliable transport
-(:mod:`repro.runtime.transport`) need the deterministic loop.
+:class:`AsyncioNetwork` is a delivery source for the simulator's loop
+(:func:`~repro.runtime.simulator._drive`), like the structural network,
+the reliable transport and the lockstep waves: shells, crash specs,
+revivals, the quiescence rule and the report are the loop's.  The event
+loop runs only while the source waits for the next arrival; the cores
+run between those waits.  Executions are *not* bit-reproducible across
+platforms — tests assert the algorithm's properties, never specific
+interleavings.  Link faults are simulator-only: the lossy fabric and
+reliable transport (:mod:`repro.runtime.transport`) need the
+deterministic loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
+from contextlib import closing
 
 import numpy as np
 
-from ..geometry.cache import PERF
 from .faults import FaultPlan
-from .messages import Payload
-from .process import ProcessShell, ProtocolCore
-from .simulator import SimulationError, SimulationReport, _build_shells, _finish_report
+from .messages import Envelope, Payload
+from .process import ProtocolCore
+from .simulator import SimulationError, SimulationReport, _default_max_steps, _drive
+
+#: Wall-clock seconds without an arrival before a run is declared stuck.
+STALL_TIMEOUT = 120.0
 
 
-class _AsyncTransport:
-    """Duck-typed stand-in for :class:`Network` inside process shells."""
+class AsyncioNetwork:
+    """Delivery source whose order comes from per-channel forwarder timers.
 
-    def __init__(self, n: int, runtime: "_AsyncRuntime"):
+    Owns its event loop; :meth:`close` cancels the forwarders and closes
+    the loop.  An envelope that reaches a crashed receiver is parked for
+    its revival when it will come back and dropped otherwise, as on the
+    reliable transport.
+    """
+
+    checkpoint_store = None
+    app_deliveries: tuple[tuple[int, int], ...] = ()
+
+    def __init__(self, n: int, *, seed: int, max_delay: float):
         self.n = n
-        self._runtime = runtime
         self.messages_sent = 0
-
-    def send(self, src: int, dst: int, payload: Payload, send_round: int) -> None:
-        self.messages_sent += 1
-        self._runtime.enqueue(src, dst, payload)
-
-
-class _AsyncRuntime:
-    """Channel queues, forwarders, handlers, and quiescence accounting."""
-
-    def __init__(self, n: int, seed: int, max_delay: float):
-        self.n = n
+        self.messages_delivered = 0
+        self._loop = asyncio.new_event_loop()
         self._rng = np.random.default_rng(seed)
         self._max_delay = max_delay
-        self._channels: dict[tuple[int, int], asyncio.Queue] = {}
-        self._inboxes: list[asyncio.Queue] = [asyncio.Queue() for _ in range(n)]
+        self._channels = {
+            (src, dst): asyncio.Queue()
+            for src in range(n)
+            for dst in range(n)
+            if src != dst
+        }
+        self._seq = dict.fromkeys(self._channels, 0)
+        self._arrived: deque[Envelope] = deque()
+        self._arrival = asyncio.Event()
         self._in_flight = 0
-        self._quiescent = asyncio.Event()
-        self._quiescent.set()
-        self.delivered = 0
-        #: Crash-recovery hooks, wired by run_asyncio_simulation when the
-        #: fault plan schedules revivals (None otherwise — historical path).
-        self._recovery = None
-        self._parked: dict[int, list[tuple[Payload, int]]] = {}
+        self._crashed: set[int] = set()
+        self._parked: dict[int, list[Envelope]] = {}
+        self._tasks = [
+            self._loop.create_task(self._forward(queue))
+            for queue in self._channels.values()
+        ]
 
-    def enqueue(self, src: int, dst: int, payload: Payload) -> None:
-        self._in_flight += 1
-        self._quiescent.clear()
+    def send(self, src: int, dst: int, payload: Payload, send_round: int) -> None:
         key = (src, dst)
-        if key not in self._channels:
-            raise SimulationError(f"unknown channel {key}")
-        self._channels[key].put_nowait(payload)
+        seq = self._seq[key]
+        self._seq[key] = seq + 1
+        self._channels[key].put_nowait(Envelope(src, dst, seq, send_round, payload))
+        self._in_flight += 1
+        self.messages_sent += 1
 
-    def settle_one(self) -> None:
-        self._in_flight -= 1
-        if self._in_flight == 0:
-            self._quiescent.set()
-
-    async def forwarder(self, src: int, dst: int) -> None:
-        queue = self._channels[(src, dst)]
+    async def _forward(self, queue: asyncio.Queue) -> None:
         while True:
-            payload = await queue.get()
+            env = await queue.get()
             delay = float(self._rng.uniform(0.0, self._max_delay))
             if delay > 0:
                 await asyncio.sleep(delay)
-            self._inboxes[dst].put_nowait((payload, src))
+            self._arrived.append(env)
+            self._arrival.set()
 
-    async def handler(self, shell: ProcessShell) -> None:
-        inbox = self._inboxes[shell.pid]
+    @property
+    def steps(self) -> int:
+        """Every delivery is one step of the run."""
+        return self.messages_delivered
+
+    def next(self, sched=None) -> Envelope | None:
+        """The next arrival for a live receiver; None when nothing is in flight.
+
+        Runs the event loop only while no arrival is buffered.  The event
+        is cleared *before* the loop runs: forwarders that ``send`` has
+        already woken run ahead of the waiting task, so clearing it inside
+        the loop would lose their wake-up.
+        """
         while True:
-            payload, src = await inbox.get()
-            if (
-                shell.crashed
-                and self._recovery is not None
-                and self._recovery.will_recover(shell.pid)
-            ):
-                # Park for the revival instead of consuming silently: the
-                # channel retired the message, nobody will resend it.
-                self._parked.setdefault(shell.pid, []).append((payload, src))
-                self.settle_one()
-                continue
+            while self._arrived:
+                env = self._arrived.popleft()
+                self._in_flight -= 1
+                if env.dst not in self._crashed:
+                    self.messages_delivered += 1
+                    return env
+                if env.dst in self._parked:
+                    self._parked[env.dst].append(env)
+            if not self._in_flight:
+                return None
+            self._arrival.clear()
             try:
-                shell.receive(payload, src)
-            finally:
-                self.delivered += 1
-                self.settle_one()
-            if self._recovery is not None:
-                if shell.crashed:
-                    self._recovery.note_crash(shell, self.delivered)
-                for pid in self._recovery.due(self.delivered):
-                    self._revive(pid)
+                self._loop.run_until_complete(
+                    asyncio.wait_for(self._arrival.wait(), STALL_TIMEOUT)
+                )
+            except asyncio.TimeoutError as exc:
+                raise SimulationError(
+                    f"asyncio run: no arrival within {STALL_TIMEOUT}s "
+                    f"(in flight: {self._in_flight})"
+                ) from exc
 
-    def _revive(self, pid: int) -> None:
-        """Execute one revival, then replay its parked messages."""
-        shell = self._recovery.revive(pid, self.delivered)
-        for payload, src in self._parked.pop(pid, []):
-            shell.receive(payload, src)
-            self.delivered += 1
+    def mark_crashed(self, dst: int, recovering: bool = False) -> None:
+        """Stop delivery to ``dst``; park what reaches it if it will recover."""
+        self._crashed.add(dst)
+        if recovering:
+            self._parked.setdefault(dst, [])
 
-    async def run(self, shells: list[ProcessShell], timeout: float) -> None:
-        for src in range(self.n):
-            for dst in range(self.n):
-                if src != dst:
-                    self._channels[(src, dst)] = asyncio.Queue()
-        tasks = [
-            asyncio.create_task(self.forwarder(src, dst))
-            for src in range(self.n)
-            for dst in range(self.n)
-            if src != dst
-        ]
-        tasks.extend(asyncio.create_task(self.handler(s)) for s in shells)
-        try:
-            for shell in shells:
-                shell.start()
-            if self._recovery is not None:
-                for shell in shells:
-                    if shell.crashed:
-                        self._recovery.note_crash(shell, self.delivered)
-            await asyncio.wait_for(self._quiescent.wait(), timeout=timeout)
-            # Quiescence can be momentary when a handler is about to emit;
-            # confirm it is stable by yielding and re-checking.
-            while True:
-                await asyncio.sleep(0)
-                if self._in_flight == 0:
-                    if (
-                        self._recovery is not None
-                        and self._recovery.has_pending
-                    ):
-                        # Stable quiescence with revivals pending: fire
-                        # the earliest one (the quiescence rule) and keep
-                        # running — its restart may emit new messages.
-                        self._revive(self._recovery.pop_earliest())
-                        continue
-                    break
-                await asyncio.wait_for(self._quiescent.wait(), timeout=timeout)
-        except asyncio.TimeoutError as exc:
-            raise SimulationError(
-                f"asyncio run did not quiesce within {timeout}s "
-                f"(in flight: {self._in_flight})"
-            ) from exc
-        finally:
-            for task in tasks:
-                task.cancel()
+    def mark_recovered(self, dst: int) -> list[Envelope]:
+        """Re-open delivery to ``dst``; returns its parked envelopes in arrival order."""
+        self._crashed.discard(dst)
+        parked = self._parked.pop(dst, [])
+        self.messages_delivered += len(parked)
+        return parked
+
+    async def _stop_forwarders(self) -> None:
+        for task in self._tasks:
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+
+    def close(self) -> None:
+        """Cancel every forwarder and close the event loop."""
+        self._loop.run_until_complete(self._stop_forwarders())
+        self._loop.close()
 
 
 def run_asyncio_simulation(
@@ -169,43 +154,27 @@ def run_asyncio_simulation(
     *,
     seed: int = 0,
     max_delay: float = 0.001,
-    timeout: float = 120.0,
     require_all_fault_free_decide: bool = True,
     checkpoint_store=None,
     core_factory=None,
 ) -> SimulationReport:
-    """Drive the cores on the asyncio runtime until quiescence.
+    """Drive the cores over live forwarder timers until quiescence.
 
     Mirrors :func:`repro.runtime.simulator.run_simulation`'s contract and
     report format; accepts the same cores and fault plans.
     """
-    from .recovery import RecoveryManager, make_recovery_setup
-
     n = len(cores)
-    plan = (fault_plan or FaultPlan.none()).validate(n)
-    runtime = _AsyncRuntime(n, seed=seed, max_delay=max_delay)
-    transport = _AsyncTransport(n, runtime)
-    store = make_recovery_setup(plan, checkpoint_store, core_factory)
-    shells = _build_shells(cores, plan, transport, store)
-    manager = (
-        RecoveryManager(plan, shells, core_factory=core_factory, store=store)
-        if plan.recoveries
-        else None
-    )
-    runtime._recovery = manager
-
-    perf_before = PERF.snapshot()
-    asyncio.run(runtime.run(shells, timeout))
-    return _finish_report(
-        shells,
-        plan,
-        require_all_fault_free_decide=require_all_fault_free_decide,
-        delivery_steps=runtime.delivered,
-        messages_sent=transport.messages_sent,
-        messages_delivered=runtime.delivered,
-        perf_counters=PERF.diff(perf_before),
-        recovered=list(manager.revived) if manager is not None else [],
-    )
+    with closing(AsyncioNetwork(n, seed=seed, max_delay=max_delay)) as source:
+        return _drive(
+            cores,
+            fault_plan,
+            source,
+            None,
+            max_steps=_default_max_steps(n),
+            require_all_fault_free_decide=require_all_fault_free_decide,
+            checkpoint_store=checkpoint_store,
+            core_factory=core_factory,
+        )
 
 
 def run_asyncio_consensus(
@@ -217,7 +186,6 @@ def run_asyncio_consensus(
     seed: int = 0,
     max_delay: float = 0.001,
     input_bounds: tuple[float, float] | None = None,
-    timeout: float = 120.0,
     checkpoint_store=None,
     algorithm: str = "cc",
 ):
@@ -235,7 +203,6 @@ def run_asyncio_consensus(
         fault_plan=run.plan,
         seed=seed,
         max_delay=max_delay,
-        timeout=timeout,
         checkpoint_store=checkpoint_store,
         core_factory=run.core_factory,
     )

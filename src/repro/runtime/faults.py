@@ -41,7 +41,7 @@ the :class:`~repro.runtime.transport.LossyFabric`.  The paper
 *postulates* reliable FIFO exactly-once channels; a
 :class:`LinkFaultSpec` describes how far a physical link deviates from
 that postulate, and the :class:`~repro.runtime.transport.
-ReliableTransport` layer is what earns the postulate back (see
+TransportNetwork` layer is what earns the postulate back (see
 ``docs/FAULT_MODEL.md``).  Frame corruption (``corrupt``) is the
 link-level shadow of a payload-tampering adversary: the transport's
 checksums detect it and retransmission repairs it, which is exactly why

@@ -2,9 +2,9 @@
 
 The paper's model is crash-stop; the :class:`~repro.runtime.faults.
 RecoverySpec` axis extends it with processes that come back.  This module
-is the one place the semantics of a revival live, shared by the
-simulator's delivery loop (structural network, transport and lockstep
-sources alike) and the asyncio runtime:
+is the one place the semantics of a revival live, shared by every
+source of the simulator's delivery loop (structural network, transport,
+lockstep and asyncio alike):
 
 * a crash with a recovery spec schedules a revival ``recover_at``
   application-level delivery steps later;

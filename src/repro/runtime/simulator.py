@@ -6,11 +6,11 @@ head and the simulator delivers it.  No notion of time exists — exactly as
 in the model, only the delivery *order* matters, and the scheduler is free
 to choose any order consistent with per-channel FIFO.
 
-Executions are reproducible: (cores, fault plan, scheduler seed) fully
-determine the run.
+Executions are reproducible on every source but the live asyncio one:
+(cores, fault plan, scheduler seed) fully determine the run.
 
-One delivery loop (:func:`_drive`) runs every deterministic execution.  It
-owns what those executions share: the process shells (with their
+One delivery loop (:func:`_drive`) runs every execution, deterministic or
+live.  It owns what those executions share: the process shells (with their
 Byzantine engines and checkpoint store), the
 :class:`~repro.runtime.recovery.RecoveryManager` and its quiescence rule,
 crash and revival bookkeeping counted in application deliveries (the
@@ -22,7 +22,10 @@ next application message comes from is the job of a *delivery source*:
 * :class:`~repro.runtime.transport.TransportNetwork` — the scheduler picks
   fabric frames; acks, retransmission and parking stay inside;
 * the lockstep wave source of :mod:`repro.runtime.lockstep` — whole waves
-  of channel heads in a fixed order, no scheduler at all.
+  of channel heads in a fixed order, no scheduler at all;
+* :class:`~repro.runtime.asyncio_runtime.AsyncioNetwork` — per-channel
+  asyncio forwarders with seeded real-time delays; arrival order, not a
+  scheduler, picks the next envelope.
 
 A source is the shells' network (``n``, ``send``) plus ``next(sched)``
 (the next envelope, already taken off its channel, or ``None`` at
@@ -57,10 +60,10 @@ class SimulationError(RuntimeError):
 class SimulationReport:
     """Outcome counters for one run (full data lives in the trace).
 
-    ``perf_counters`` holds the geometry/cache counter *deltas* attributed
-    to this run (hull calls, cache hits/misses, LP solves, Minkowski
-    candidates — see :mod:`repro.analysis.perf_counters`); drivers that do
-    not collect them leave it empty.
+    ``perf_counters`` holds the deltas of every
+    :class:`~repro.geometry.cache.PerfCounters` field attributed to this
+    run (hull calls, cache hits/misses, LP solves, transport and recovery
+    tallies).
     """
 
     delivery_steps: int

@@ -89,8 +89,8 @@ ACK = "ack"
 #: graceful-degradation abort is prompt, not a hang.
 DEFAULT_CLOCK_BUDGET = 1 << 24
 
-#: Default retransmission-timeout base, in fabric clock steps.
-DEFAULT_RTO_BASE = 8.0
+#: Retransmission-timeout base, in fabric clock steps.
+RTO_BASE = 8.0
 
 
 class TransportBudgetError(SimulationError):
@@ -349,13 +349,11 @@ class TransportNetwork:
         link_faults: LinkFaultPlan | None = None,
         *,
         reliable: bool = True,
-        rto_base: float = DEFAULT_RTO_BASE,
         clock_budget: int = DEFAULT_CLOCK_BUDGET,
     ):
         self.n = n
         self.fabric = LossyFabric(n, link_faults or LinkFaultPlan())
         self.reliable = reliable
-        self.rto_base = rto_base
         self.clock_budget = clock_budget
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -647,7 +645,7 @@ class TransportNetwork:
         """
         from ..analysis.engine import retry_delay
 
-        base = self.rto_base + 2.0 * self.fabric.in_flight
+        base = RTO_BASE + 2.0 * self.fabric.in_flight
         delay = retry_delay(f"{link[0]}->{link[1]}#{seq}", attempt, base)
         return max(1, int(math.ceil(delay)))
 
@@ -721,7 +719,6 @@ def run_transport_simulation(
     reliable_transport: bool = True,
     max_steps: int | None = None,
     clock_budget: int = DEFAULT_CLOCK_BUDGET,
-    rto_base: float = DEFAULT_RTO_BASE,
     require_all_fault_free_decide: bool = True,
     on_deliver: Callable[[], None] | None = None,
     checkpoint_store=None,
@@ -744,7 +741,6 @@ def run_transport_simulation(
         n,
         link_faults,
         reliable=reliable_transport,
-        rto_base=rto_base,
         clock_budget=clock_budget,
     )
     if max_steps is None:

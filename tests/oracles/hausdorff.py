@@ -28,8 +28,8 @@ def directed_hausdorff_scalar(
     worst = 0.0
     target_vertices = target.vertices
     for vertex in source.vertices:
-        projection, _ = project_onto_hull(vertex, target_vertices)
-        dist = float(np.linalg.norm(projection - vertex))
+        gap = project_onto_hull(vertex, target_vertices)[0] - vertex
+        dist = abs(float(gap[0])) if gap.size == 1 else float(np.linalg.norm(gap))
         if dist > worst:
             worst = dist
     return worst
