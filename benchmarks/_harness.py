@@ -40,7 +40,6 @@ __all__ = [
     "render_table",
     "run_once",
     "run_recorded",
-    "shared_cache_hit_rate",
     "np",
 ]
 
@@ -53,7 +52,7 @@ def cache_hit_rate(counters: dict[str, int]) -> float:
     Aggregates subset-intersection and combination lookups; 0.0 when
     nothing was looked up.  This is an **intra-worker** metric: the LRU
     caches are per-process, so a rate summed over engine workers says
-    nothing about sharing between them (see :func:`shared_cache_hit_rate`).
+    nothing about sharing between them.
     """
     lookups = counters.get("subset_intersection_calls", 0) + counters.get(
         "combination_calls", 0
@@ -62,22 +61,6 @@ def cache_hit_rate(counters: dict[str, int]) -> float:
         "combination_cache_hits", 0
     )
     return hits / lookups if lookups else 0.0
-
-
-def shared_cache_hit_rate(counters: dict[str, int]) -> float:
-    """Fraction of shared-disk-cache lookups answered by another writer.
-
-    Only ``foreign`` hits count — entries written by another process or
-    an earlier run — so the rate measures cross-worker sharing.  0.0 when
-    the shared cache saw no lookups.
-    """
-    foreign = counters.get("shared_cache_hits_foreign", 0)
-    lookups = (
-        foreign
-        + counters.get("shared_cache_hits_local", 0)
-        + counters.get("shared_cache_misses", 0)
-    )
-    return foreign / lookups if lookups else 0.0
 
 
 def bench_json_path(stem: str) -> Path:

@@ -126,10 +126,9 @@ def bench_sweep_parallel_speedup():
             "measures redundancy collapse WITHIN each worker process and "
             "says nothing about sharing BETWEEN workers (a rate of 1.0 is "
             "consistent with every worker paying every cold miss itself). "
-            "Cross-worker sharing is the shared_cache_hits_foreign counter "
-            "/ shared_cache_hit_rate, measured with --cache-dir; see "
-            "BENCH_batch.json's multiworker_shared_cache entry and "
-            "docs/PERFORMANCE.md."
+            "Nothing is shared between workers: cells are pure, and a "
+            "re-run of the same grid is served by --resume without "
+            "running a cell; see docs/PERFORMANCE.md."
         ),
         asserted=cpus >= workers,
     )

@@ -16,7 +16,7 @@ order.
 Determinism contract
 --------------------
 Same grid + same per-cell seeds => identical result rows, independent of
-``workers``, start method, scheduling jitter, or resume history:
+``workers``, scheduling jitter, or resume history:
 
 * each cell re-derives *everything* from its ``params`` (workers share no
   mutable state — scenario objects are rebuilt per cell, and the geometry
@@ -34,13 +34,16 @@ The contract covers *result rows and their aggregates*, not the merged
 perf counters: cache hit/miss counts depend on which cells share a
 worker's geometry cache (and, under ``fork``, on the parent cache at
 fork time), so they describe the run's cost truthfully but are not
-worker-count invariant.
+worker-count invariant.  Counters and cell time belong to the invocation
+that ran the cells: cells loaded from a resume journal contribute
+neither.
 
 Checkpoint / resume
 -------------------
 Pass ``run_dir`` to journal every completed cell as one JSON line in
 ``<run_dir>/results.jsonl`` (append-only, flushed per cell, so a killed
-sweep loses at most the in-flight cells).  Pass ``resume=True`` to load
+sweep loses at most the in-flight cells; a line it tore mid-write is
+ended before the next entry is appended).  Pass ``resume=True`` to load
 the journal first and skip every cell whose latest journal entry
 succeeded; failed cells are retried on resume.  A ``grid.json`` manifest
 (the ordered cell keys) is rewritten on every invocation for inspection.
@@ -48,13 +51,9 @@ succeeded; failed cells are retried on resume.  A ``grid.json`` manifest
 Failure isolation
 -----------------
 A cell that raises is captured as a ``status == "error"`` result carrying
-the exception text and traceback — the sweep continues.  ``retries=k``
-re-runs a raising cell up to ``k`` extra times (inside the same worker)
-before recording the failure.  ``retry_backoff=b`` sleeps between
-attempts with exponential backoff and jitter; the delays are *seeded from
-the cell key*, so they are identical across runs and worker layouts, and
-every delay actually slept is journalled in the result row
-(``retry_delays``) — a resumed sweep can be audited for flaky cells.
+the exception text and traceback — the sweep continues.  A raising cell
+is not retried: it is a pure function of its ``params``, so a second
+attempt would raise the same exception.  A resumed sweep re-runs it.
 
 Typical use::
 
@@ -83,7 +82,6 @@ import importlib
 import json
 import multiprocessing
 import os
-import random
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -99,10 +97,8 @@ __all__ = [
     "MANIFEST_FILENAME",
     "TaskResult",
     "TaskSpec",
-    "default_start_method",
     "load_results",
     "resolve_runner",
-    "retry_delay",
     "run_grid",
     "task_key",
 ]
@@ -114,6 +110,9 @@ MANIFEST_FILENAME = "grid.json"
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
+
+#: ``fork`` where the platform has it (cheap workers), else its default.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 def task_key(**fields: Any) -> str:
@@ -185,8 +184,6 @@ class TaskResult:
     traceback: str | None = None
     seconds: float = 0.0
     counters: dict = field(default_factory=dict)
-    attempts: int = 1
-    retry_delays: list = field(default_factory=list)
     cached: bool = False  # True when loaded from a resume journal
 
     @property
@@ -203,12 +200,12 @@ class TaskResult:
             "traceback": self.traceback,
             "seconds": self.seconds,
             "counters": self.counters,
-            "attempts": self.attempts,
-            "retry_delays": self.retry_delays,
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "TaskResult":
+        """Parse one journal entry; keys this version does not know (such
+        as an older journal's ``attempts``) are ignored."""
         return cls(
             key=data["key"],
             status=data.get("status", STATUS_ERROR),
@@ -218,8 +215,6 @@ class TaskResult:
             traceback=data.get("traceback"),
             seconds=float(data.get("seconds", 0.0)),
             counters=dict(data.get("counters") or {}),
-            attempts=int(data.get("attempts", 1)),
-            retry_delays=[float(x) for x in data.get("retry_delays") or []],
         )
 
 
@@ -242,62 +237,35 @@ class EngineReport:
     def failed(self) -> int:
         return sum(1 for r in self.results if not r.ok)
 
+    def _executed(self) -> list[TaskResult]:
+        return [r for r in self.results if not r.cached]
+
     @property
     def counters(self) -> dict[str, int]:
-        """Geometry perf counters summed over every cell (all workers).
+        """Perf counters summed over the cells this invocation ran (all
+        workers); cells loaded from the resume journal do not count.
 
         Integer summation is order-independent, so the merge is part of
         the determinism contract.
         """
-        merged: dict[str, int] = {}
-        for result in self.results:
+        merged = dict.fromkeys(PERF.as_dict(), 0)
+        for result in self._executed():
             for name, value in result.counters.items():
                 merged[name] = merged.get(name, 0) + int(value)
         return merged
 
     @property
     def cell_seconds(self) -> float:
-        """Total per-cell compute time (sums across workers, so it can
-        exceed ``wall_seconds`` under parallelism)."""
-        return float(sum(r.seconds for r in self.results))
+        """Compute time of the cells this invocation ran (sums across
+        workers, so it can exceed ``wall_seconds`` under parallelism)."""
+        return float(sum(r.seconds for r in self._executed()))
 
     def rows(self) -> list[dict]:
         """Grid-ordered row dicts of the successful cells."""
         return [r.row for r in self.results if r.ok and r.row is not None]
 
 
-def default_start_method() -> str:
-    """Multiprocessing start method: ``REPRO_ENGINE_START_METHOD`` env
-    override, else ``fork`` where available (cheap workers), else the
-    platform default."""
-    override = os.environ.get("REPRO_ENGINE_START_METHOD")
-    if override:
-        return override
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else multiprocessing.get_start_method()
-
-
-def retry_delay(key: str, attempt: int, backoff: float) -> float:
-    """Deterministic backoff before retry ``attempt`` of cell ``key``.
-
-    Exponential (``backoff * 2**(attempt-1)``) with multiplicative jitter
-    in ``[0.5, 1.0)`` drawn from a PRNG seeded by the *cell key and
-    attempt number* — ``random.Random(str)`` hashes the seed with
-    SHA-512, so the schedule is identical across runs, platforms, and
-    ``PYTHONHASHSEED`` values.  Jitter de-synchronises cells that fail
-    together (e.g. a shared resource hiccup) without sacrificing
-    reproducibility: the journalled ``retry_delays`` of a cell are a pure
-    function of ``(key, attempt, backoff)``.
-    """
-    if backoff <= 0.0:
-        return 0.0
-    rng = random.Random(f"{key}#retry{attempt}")
-    return backoff * (2 ** (attempt - 1)) * (0.5 + 0.5 * rng.random())
-
-
-def _execute_task(
-    spec: TaskSpec, retries: int, retry_backoff: float = 0.0
-) -> TaskResult:
+def _execute_task(spec: TaskSpec) -> TaskResult:
     """Worker entry point: run one cell, measuring time and counters.
 
     Runs in a worker process (or inline for ``workers <= 1`` — the same
@@ -306,52 +274,19 @@ def _execute_task(
     they attribute exactly the geometry work of this cell (workers run
     one cell at a time).
     """
+    result = TaskResult(key=spec.key, status=STATUS_OK, params=dict(spec.params))
     before = PERF.snapshot()
     start = time.perf_counter()
-    attempts = 0
-    error: BaseException | None = None
-    tb: str | None = None
-    row: Any = None
-    delays: list[float] = []
-    while attempts <= retries:
-        attempts += 1
-        try:
-            runner = resolve_runner(spec.runner)
-            row = runner(**dict(spec.params))
-            error = None
-            break
-        except Exception as exc:  # noqa: BLE001 — isolation is the point
-            error = exc
-            tb = traceback.format_exc()
-            if attempts <= retries:
-                delay = retry_delay(spec.key, attempts, retry_backoff)
-                delays.append(delay)
-                if delay > 0.0:
-                    time.sleep(delay)
-    seconds = time.perf_counter() - start
-    counters = PERF.diff(before)
-    if error is not None:
-        return TaskResult(
-            key=spec.key,
-            status=STATUS_ERROR,
-            params=dict(spec.params),
-            error=f"{type(error).__name__}: {error}",
-            traceback=tb,
-            seconds=seconds,
-            counters=counters,
-            attempts=attempts,
-            retry_delays=delays,
-        )
-    return TaskResult(
-        key=spec.key,
-        status=STATUS_OK,
-        row=dict(row) if isinstance(row, Mapping) else row,
-        params=dict(spec.params),
-        seconds=seconds,
-        counters=counters,
-        attempts=attempts,
-        retry_delays=delays,
-    )
+    try:
+        row = resolve_runner(spec.runner)(**dict(spec.params))
+        result.row = dict(row) if isinstance(row, Mapping) else row
+    except Exception as exc:  # noqa: BLE001 — isolation is the point
+        result.status = STATUS_ERROR
+        result.error = f"{type(exc).__name__}: {exc}"
+        result.traceback = traceback.format_exc()
+    result.seconds = time.perf_counter() - start
+    result.counters = PERF.diff(before)
+    return result
 
 
 def _json_default(value: Any) -> Any:
@@ -362,6 +297,19 @@ def _json_default(value: Any) -> Any:
         except (TypeError, ValueError):
             continue
     return str(value)
+
+
+def _end_torn_line(path: Path) -> None:
+    """Give a last line torn by a killed sweep its newline, so the next
+    entry is appended on a line of its own instead of onto the torn one."""
+    if not path.exists() or path.stat().st_size == 0:
+        return
+    with path.open("rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        torn = fh.read(1) != b"\n"
+    if torn:
+        with path.open("ab") as fh:
+            fh.write(b"\n")
 
 
 def _append_result(run_dir: Path, result: TaskResult) -> None:
@@ -410,11 +358,7 @@ def run_grid(
     workers: int = 1,
     run_dir: str | Path | None = None,
     resume: bool = False,
-    retries: int = 0,
-    retry_backoff: float = 0.0,
-    start_method: str | None = None,
     on_result: Callable[[TaskResult], None] | None = None,
-    cache_dir: str | Path | None = None,
 ) -> EngineReport:
     """Run every cell of a grid, optionally sharded across processes.
 
@@ -432,27 +376,9 @@ def run_grid(
     resume:
         Load ``run_dir``'s journal first and skip cells whose latest
         entry succeeded.  Previously *failed* cells are re-run.
-    retries:
-        Extra in-worker attempts for a cell that raises.
-    retry_backoff:
-        Base seconds of the deterministic exponential backoff slept
-        between attempts (see :func:`retry_delay`); ``0`` retries
-        immediately.  Delays slept are journalled per cell.
-    start_method:
-        Multiprocessing start method (default: :func:`default_start_method`).
     on_result:
         Progress callback invoked in the parent for each freshly
         completed cell (in completion order).
-    cache_dir:
-        Directory of the shared cross-worker geometry cache
-        (:mod:`repro.geometry.shared_cache`); created if missing.  The
-        engine exports it as ``REPRO_CACHE_DIR`` for the duration of the
-        run, so every worker — forked or spawned — consults and feeds the
-        same content-addressed store, and sibling workers stop paying
-        cold misses for hulls another worker already computed.  Cached
-        entries are outputs of the same kernels on bit-identical inputs,
-        so result rows keep the determinism contract; only the
-        ``shared_cache_*`` counters (and wall time) change.
 
     Returns an :class:`EngineReport` whose ``results`` follow the grid
     order of ``tasks``.
@@ -476,6 +402,7 @@ def run_grid(
                 for key, result in load_results(dir_path).items()
                 if key in wanted and result.ok
             }
+        _end_torn_line(dir_path / RESULTS_FILENAME)
         _write_manifest(dir_path, keys)
 
     pending = [spec for spec in specs if spec.key not in reused]
@@ -489,42 +416,17 @@ def run_grid(
         if on_result is not None:
             on_result(result)
 
-    # Export the shared-cache directory through the environment for the
-    # duration of the run: the geometry layer re-reads REPRO_CACHE_DIR on
-    # every lookup, so this configures the inline path and both fork- and
-    # spawn-started workers alike (workers inherit the parent environment
-    # at pool creation).
-    cache_env_prev: str | None = None
-    cache_env_set = False
-    if cache_dir is not None:
-        cache_path = Path(cache_dir)
-        cache_path.mkdir(parents=True, exist_ok=True)
-        cache_env_prev = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = str(cache_path)
-        cache_env_set = True
-    try:
-        if workers <= 1 or len(pending) <= 1:
-            for spec in pending:
-                record(_execute_task(spec, retries, retry_backoff))
-        else:
-            context = multiprocessing.get_context(
-                start_method or default_start_method()
-            )
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)), mp_context=context
-            ) as pool:
-                futures = [
-                    pool.submit(_execute_task, spec, retries, retry_backoff)
-                    for spec in pending
-                ]
-                for future in as_completed(futures):
-                    record(future.result())
-    finally:
-        if cache_env_set:
-            if cache_env_prev is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = cache_env_prev
+    if workers <= 1 or len(pending) <= 1:
+        for spec in pending:
+            record(_execute_task(spec))
+    else:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(pending)),
+            mp_context=multiprocessing.get_context(_START_METHOD),
+        ) as pool:
+            futures = [pool.submit(_execute_task, spec) for spec in pending]
+            for future in as_completed(futures):
+                record(future.result())
 
     wall_seconds = time.perf_counter() - start
     results = [

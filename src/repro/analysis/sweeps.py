@@ -334,11 +334,8 @@ def run_sweep(
     workers: int = 1,
     run_dir=None,
     resume: bool = False,
-    retries: int = 0,
-    retry_backoff: float = 0.0,
     scenario_kwargs: Mapping | None = None,
     on_result: Callable[[TaskResult], None] | None = None,
-    cache_dir=None,
 ) -> tuple[SweepSummary, EngineReport]:
     """Seed-sweep a named scenario through the parallel engine.
 
@@ -357,9 +354,6 @@ def run_sweep(
         workers=workers,
         run_dir=run_dir,
         resume=resume,
-        retries=retries,
-        retry_backoff=retry_backoff,
         on_result=on_result,
-        cache_dir=cache_dir,
     )
     return _summary_from_engine(report), report

@@ -186,12 +186,9 @@ def run_campaign(
     workers: int = 1,
     run_dir: str | Path | None = None,
     resume: bool = False,
-    retries: int = 0,
-    retry_backoff: float = 0.0,
     shrink_violations: bool = True,
     bundle_dir: str | Path | None = None,
     on_result: Callable[..., None] | None = None,
-    cache_dir: str | Path | None = None,
 ) -> CampaignSummary:
     """Run a fuzz campaign through the parallel experiment engine.
 
@@ -214,10 +211,7 @@ def run_campaign(
         workers=workers,
         run_dir=run_dir,
         resume=resume,
-        retries=retries,
-        retry_backoff=retry_backoff,
         on_result=on_result,
-        cache_dir=cache_dir,
     )
     rows = report.rows()
     bundle_paths: list[str] = []

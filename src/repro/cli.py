@@ -371,10 +371,7 @@ def cmd_sweep(args) -> int:
     if args.progress:
 
         def on_result(result) -> None:
-            print(
-                f"  [{result.status}] {result.key} "
-                f"({result.seconds:.2f}s, attempt {result.attempts})"
-            )
+            print(f"  [{result.status}] {result.key} ({result.seconds:.2f}s)")
 
     summary, engine = run_sweep(
         args.name,
@@ -382,10 +379,7 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         run_dir=run_dir,
         resume=args.resume is not None,
-        retries=args.retries,
-        retry_backoff=args.retry_backoff,
         on_result=on_result,
-        cache_dir=args.cache_dir,
     )
     print(
         render_table(
@@ -499,12 +493,9 @@ def cmd_fuzz(args) -> int:
         workers=args.workers,
         run_dir=run_dir,
         resume=args.resume is not None,
-        retries=args.retries,
-        retry_backoff=args.retry_backoff,
         shrink_violations=args.shrink,
         bundle_dir=args.bundle_dir,
         on_result=on_result,
-        cache_dir=args.cache_dir,
     )
     print(summary.triage_table())
     engine = summary.report
@@ -713,27 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(implies --run-dir DIR)",
     )
     p_sweep.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="extra attempts for a cell that raises (default 0)",
-    )
-    p_sweep.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="shared cross-worker geometry cache directory (exported to "
-        "workers as REPRO_CACHE_DIR; created if missing)",
-    )
-    p_sweep.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="base of the deterministic exponential backoff between "
-        "retry attempts (default 0 = immediate)",
-    )
-    p_sweep.add_argument(
         "--progress",
         action="store_true",
         help="print one line per completed cell",
@@ -802,26 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="resume a checkpointed campaign (implies --run-dir DIR)",
-    )
-    p_fuzz.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="extra attempts for a case whose harness raises (default 0)",
-    )
-    p_fuzz.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="shared cross-worker geometry cache directory (exported to "
-        "workers as REPRO_CACHE_DIR; created if missing)",
-    )
-    p_fuzz.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="deterministic exponential backoff base between retries",
     )
     p_fuzz.add_argument(
         "--no-shrink",

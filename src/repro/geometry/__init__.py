@@ -72,11 +72,6 @@ from .sampling import (
     sample_on_vertices,
     sample_outside_polytope,
 )
-from .shared_cache import (
-    set_shared_cache_dir,
-    shared_cache_dir,
-    shared_cache_enabled,
-)
 from .steiner import steiner_lipschitz_bound, steiner_point
 from .tverberg import (
     common_point_of_hulls,
@@ -158,9 +153,6 @@ __all__ = [
     "sample_in_polytope",
     "sample_on_vertices",
     "sample_outside_polytope",
-    "set_shared_cache_dir",
-    "shared_cache_dir",
-    "shared_cache_enabled",
     "steiner_lipschitz_bound",
     "steiner_point",
     "stochastic_row_combination",

@@ -12,9 +12,7 @@ redundancy:
   memoized layer: the subset intersection, the combination ``L`` and
   polytope interning (``polytope.py``);
 * :func:`memoized_polytope` — the one lookup path of the two
-  polytope-valued layers: in-memory LRU, then the on-disk shared cache
-  (:mod:`repro.geometry.shared_cache`, on when ``REPRO_CACHE_DIR`` is
-  set), then the computation itself;
+  polytope-valued layers: the in-memory LRU, then the computation itself;
 * content-addressed keys (:func:`array_key`) — a geometry value is keyed
   by the raw bytes of its float64 vertex array, so *results are shared
   if and only if the inputs are bit-identical*.  Every memoized path is
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -78,18 +76,6 @@ class PerfCounters:
     batch_hausdorff_pair_prunes: int = 0
     batch_hausdorff_vertex_prunes: int = 0
     batch_hausdorff_dedup_groups: int = 0
-    # Shared cross-worker cache counters (repro.geometry.shared_cache).
-    # Hits are split by provenance: ``local`` entries were written by this
-    # very process (an intra-worker hit that the in-memory LRU missed,
-    # e.g. after eviction), ``foreign`` entries were written by another
-    # worker or a previous run — the cross-worker sharing the cache
-    # exists for.  Merged engine counters therefore no longer conflate
-    # intra-worker memoization with genuine cross-worker reuse.
-    shared_cache_hits_local: int = 0
-    shared_cache_hits_foreign: int = 0
-    shared_cache_misses: int = 0
-    shared_cache_writes: int = 0
-    shared_cache_errors: int = 0
     # Transport-layer counters (repro.runtime.transport): incremented by
     # the lossy fabric and reliable-delivery layer, surfaced through
     # SimulationReport.perf_counters like the geometry counters above.
@@ -255,25 +241,14 @@ def _bump(counter: str) -> None:
 
 
 def memoized_polytope(
-    cache: LruCache,
-    key: Hashable,
-    compute: Callable[[], Any],
-    *,
-    op: str,
-    arrays: Sequence[np.ndarray],
-    params: tuple,
+    cache: LruCache, key: Hashable, compute: Callable[[], Any]
 ) -> Any:
-    """``compute()``, served from ``cache`` or the on-disk cache when possible.
+    """``compute()``, served from ``cache`` when ``key`` is present.
 
-    The in-memory LRU is consulted under ``key``; on a miss, the shared
-    disk cache (when ``REPRO_CACHE_DIR`` is set) under the content key of
-    ``op``, ``arrays`` and ``params``; only then is ``compute()`` run, and
-    its polytope stored in both.  ``cache.name`` names the counters:
-    ``<name>_calls`` counts every call, ``<name>_cache_hits`` and
-    ``<name>_cache_misses`` the LRU outcome.
+    On a miss the result of ``compute()`` is stored under ``key``.
+    ``cache.name`` names the counters: ``<name>_calls`` counts every call,
+    ``<name>_cache_hits`` and ``<name>_cache_misses`` the LRU outcome.
     """
-    from . import shared_cache  # deferred: shared_cache imports PERF from here
-
     name = cache.name
     _bump(f"{name}_calls")
     cached = cache.get(key)
@@ -281,15 +256,6 @@ def memoized_polytope(
         _bump(f"{name}_cache_hits")
         return cached
     _bump(f"{name}_cache_misses")
-    disk_key: str | None = None
-    if shared_cache.shared_cache_enabled():
-        disk_key = shared_cache.content_key(op, arrays, params=params)
-        from_disk = shared_cache.load_polytope(disk_key)
-        if from_disk is not None:
-            cache.put(key, from_disk)
-            return from_disk
     result = compute()
     cache.put(key, result)
-    if disk_key is not None:
-        shared_cache.store_polytope(disk_key, result)
     return result

@@ -99,19 +99,15 @@ def linear_combination(
     # so the key must preserve operand order to stay bit-identical with
     # the computation.  Processes that freeze the same (sender-sorted)
     # ``Y_i[t]`` multiset share one computation.
-    weights_key = tuple(c for _, c in active)
     return memoized_polytope(
         COMBINATION_CACHE,
         (
             dim,
             max_intermediate_vertices,
             tuple(array_key(poly.vertices) for poly, _ in active),
-            weights_key,
+            tuple(c for _, c in active),
         ),
         lambda: _combine_minkowski(active, dim, max_intermediate_vertices),
-        op="linear_combination",
-        arrays=[poly.vertices for poly, _ in active],
-        params=(dim, max_intermediate_vertices, weights_key),
     )
 
 

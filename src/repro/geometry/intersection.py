@@ -292,9 +292,6 @@ def intersect_subset_hulls(points, f: int) -> ConvexPolytope:
         SUBSET_CACHE,
         (array_key(pts), f),
         lambda: _intersect_subset_hulls_uncached(pts, m, dim, f),
-        op="intersect_subset_hulls",
-        arrays=[pts],
-        params=(f,),
     )
 
 

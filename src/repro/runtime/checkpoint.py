@@ -13,10 +13,10 @@ Two backends:
   isolated via a JSON round-trip, so a restored process can never alias
   live state of its pre-crash incarnation (a restore must genuinely
   deserialize, or the durable path would be untested object reuse).
-* :class:`DiskCheckpointStore` — opt-in on-disk backend mirroring
-  :mod:`repro.geometry.shared_cache`'s discipline: entries are written to
-  a temp file in the same directory and published atomically with
-  ``os.replace``; every entry embeds a SHA-256 checksum of its canonical
+* :class:`DiskCheckpointStore` — opt-in on-disk backend.  Entries are
+  written to a temp file in the same directory and published atomically
+  with ``os.replace``, so a reader never sees a half-written entry under
+  its final name; every entry embeds a SHA-256 checksum of its canonical
   payload bytes, verified on load.  A missing, truncated, torn, or
   checksum-mismatched entry is *detected amnesia*: ``load`` returns
   ``None`` (counting ``checkpoint_corruptions`` when the file existed but

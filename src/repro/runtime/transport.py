@@ -17,8 +17,7 @@ deployment would, by layering:
 
 2. :class:`TransportNetwork` — a reliable-delivery transport over the
    fabric: per-channel sequence numbers, cumulative acks, retransmission
-   with seeded exponential backoff (reusing the experiment engine's
-   :func:`~repro.analysis.engine.retry_delay` schedule), out-of-order
+   with seeded exponential backoff (:func:`backoff_delay`), out-of-order
    reassembly, and duplicate suppression.  It duck-types
    :class:`~repro.runtime.network.Network` for
    :class:`~repro.runtime.process.ProcessShell`, so Algorithm CC and
@@ -65,6 +64,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import random
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -91,6 +91,19 @@ DEFAULT_CLOCK_BUDGET = 1 << 24
 
 #: Retransmission-timeout base, in fabric clock steps.
 RTO_BASE = 8.0
+
+
+def backoff_delay(src: int, dst: int, seq: int, attempt: int, base: float) -> float:
+    """Seeded exponential backoff before retry ``attempt`` of frame ``seq``.
+
+    ``base * 2**(attempt-1)`` with multiplicative jitter in ``[0.5, 1.0)``
+    drawn from a PRNG seeded by the channel, sequence number and attempt.
+    ``random.Random(str)`` hashes the seed with SHA-512, so the schedule
+    is the same across runs, platforms and ``PYTHONHASHSEED`` values, and
+    the jitter keeps frames lost together from retrying together.
+    """
+    rng = random.Random(f"{src}->{dst}#{seq}#retry{attempt}")
+    return base * (2 ** (attempt - 1)) * (0.5 + 0.5 * rng.random())
 
 
 class TransportBudgetError(SimulationError):
@@ -634,19 +647,14 @@ class TransportNetwork:
     def _rto(self, link: tuple[int, int], seq: int, attempt: int) -> int:
         """Retransmission timeout (fabric steps) before retry ``attempt + 1``.
 
-        Reuses the experiment engine's deterministic seeded backoff
-        schedule (exponential with multiplicative jitter, keyed by
-        channel and sequence number).  The base adapts to the current
-        fabric queue depth: the clock advances one step per frame
-        delivery, so a frame legitimately waits ~in_flight steps before
-        its turn — a fixed base would retransmit healthy traffic.  The
-        adaptation stays deterministic: ``in_flight`` is itself a pure
-        function of the execution prefix.
+        The base adapts to the current fabric queue depth: the clock
+        advances one step per frame delivery, so a frame legitimately
+        waits ~in_flight steps before its turn — a fixed base would
+        retransmit healthy traffic.  The adaptation stays deterministic:
+        ``in_flight`` is itself a pure function of the execution prefix.
         """
-        from ..analysis.engine import retry_delay
-
         base = RTO_BASE + 2.0 * self.fabric.in_flight
-        delay = retry_delay(f"{link[0]}->{link[1]}#{seq}", attempt, base)
+        delay = backoff_delay(link[0], link[1], seq, attempt, base)
         return max(1, int(math.ceil(delay)))
 
     def pump(self) -> None:

@@ -15,6 +15,7 @@ from repro.analysis.engine import (
     run_grid,
     task_key,
 )
+from repro.geometry.cache import PERF
 
 
 # ---------------------------------------------------------------------------
@@ -34,17 +35,10 @@ def failing_cell(*, x):
     return {"x": x}
 
 
-def flaky_cell(*, x, marker_dir):
-    """Fails on the first attempt, succeeds once its marker exists.
-
-    The marker lives on disk so the state survives the process boundary
-    between retry attempts and between engine invocations.
-    """
-    marker = Path(marker_dir) / f"seen-{x}"
-    if not marker.exists():
-        marker.touch()
-        raise RuntimeError(f"transient failure at x={x}")
-    return {"x": x, "recovered": True}
+def counting_cell(*, x):
+    """Pure cell that does ``x`` units of counted work."""
+    PERF.lp_solves += x
+    return {"x": x}
 
 
 def grid(xs, fn=square_cell, **extra):
@@ -110,23 +104,6 @@ class TestSequential:
         assert "cell exploded" in failed.traceback
         assert report.failed == 1
         assert len(report.rows()) == 2  # failed cell contributes no row
-
-    def test_retry_recovers_flaky_cell(self, tmp_path):
-        report = run_grid(
-            grid([7], fn=flaky_cell, marker_dir=str(tmp_path)),
-            workers=1,
-            retries=1,
-        )
-        (result,) = report.results
-        assert result.ok and result.row == {"x": 7, "recovered": True}
-        assert result.attempts == 2
-
-    def test_no_retry_records_failure(self, tmp_path):
-        report = run_grid(
-            grid([7], fn=flaky_cell, marker_dir=str(tmp_path)), workers=1
-        )
-        assert report.results[0].status == "error"
-        assert report.results[0].attempts == 1
 
 
 class TestParallel:
@@ -218,6 +195,13 @@ class TestCheckpointResume:
         path.write_text(path.read_text() + '{"key": "x=3", "stat')  # killed mid-write
         loaded = load_results(tmp_path)
         assert set(loaded) == {task_key(x=1), task_key(x=2)}
+        # The next entry must not be appended onto the torn line, or both
+        # fail to parse and the completed cell is lost to the next resume.
+        resumed = run_grid(grid([1, 2, 3]), run_dir=tmp_path, resume=True)
+        assert resumed.executed == 1
+        assert set(load_results(tmp_path)) == {task_key(x=x) for x in (1, 2, 3)}
+        again = run_grid(grid([1, 2, 3]), run_dir=tmp_path, resume=True)
+        assert again.executed == 0 and again.reused == 3
 
     def test_last_journal_entry_wins(self, tmp_path):
         path = tmp_path / RESULTS_FILENAME
@@ -231,3 +215,44 @@ class TestCheckpointResume:
         )
         loaded = load_results(tmp_path)
         assert loaded["k"].ok and loaded["k"].row == {"v": 1}
+
+    def test_older_journal_line_resumes(self, tmp_path):
+        # An entry written before the engine dropped retries: its
+        # ``attempts`` and ``retry_delays`` keys and the old counter names
+        # are ignored, and the cell is reused as it stands.
+        (tmp_path / RESULTS_FILENAME).write_text(
+            '{"attempts": 2, "counters": {"lp_solves": 0, '
+            '"shared_cache_hits_foreign": 1, "shared_cache_misses": 0}, '
+            '"error": null, "key": "x=7", "params": {"x": 7}, '
+            '"retry_delays": [0.00618697455710676], '
+            '"row": {"square": 49, "x": 7}, "seconds": 0.0072, '
+            '"status": "ok", "traceback": null}\n'
+        )
+        resumed = run_grid(grid([7]), run_dir=tmp_path, resume=True)
+        assert resumed.executed == 0 and resumed.reused == 1
+        assert resumed.rows() == run_grid(grid([7])).rows()
+
+
+class TestResumedWorkNotCounted:
+    """Counters and cell time belong to the invocation that ran the cells."""
+
+    def test_full_resume_reports_no_work(self, tmp_path):
+        first = run_grid(grid([1, 2], fn=counting_cell), run_dir=tmp_path)
+        assert first.counters["lp_solves"] == 3
+        resumed = run_grid(
+            grid([1, 2], fn=counting_cell), run_dir=tmp_path, resume=True
+        )
+        assert resumed.executed == 0
+        assert resumed.counters == {name: 0 for name in PERF.as_dict()}
+        assert resumed.cell_seconds == 0
+
+    def test_partial_resume_counts_executed_cells_only(self, tmp_path):
+        run_grid(grid([1, 2], fn=counting_cell), run_dir=tmp_path)
+        resumed = run_grid(
+            grid([1, 2, 4], fn=counting_cell), run_dir=tmp_path, resume=True
+        )
+        ran = [r for r in resumed.results if not r.cached]
+        assert [r.key for r in ran] == [task_key(x=4)]
+        assert resumed.counters["lp_solves"] == 4
+        assert resumed.counters == ran[0].counters
+        assert resumed.cell_seconds == ran[0].seconds

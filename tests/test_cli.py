@@ -150,14 +150,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "retransmissions=" in out
         assert "dup_drops=" in out
-        assert "shared_cache_errors=" in out
 
     def test_sweep_reports_reliability_counters(self, capsys):
         assert main(["sweep", "view-split", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
         assert "retransmissions=" in out
         assert "dup_drops=" in out
-        assert "shared_cache_errors=" in out
 
     def test_consensus_with_durable_recovery(self, capsys):
         code = main(
