@@ -12,11 +12,16 @@ instruments attached:
   delivery decision list, which is what makes shrinking and bit-identical
   replay possible.
 
+Validity and the stable-vector properties are checked once, online: the
+streaming checker sees every state and view a post-hoc pass would, so a
+run it passed is checked after the fact only for the end-state
+properties — termination, ε-agreement and Lemma 6.
+
 Outcome taxonomy mirrors :mod:`repro.analysis.sweeps`: ``"ok"`` (ran to
 completion, every paper property held), ``"violation"`` (a property
-failed — online, as a protocol-level exception, or in the post-hoc
-:func:`~repro.core.invariants.check_all`), ``"error"`` (the harness
-itself raised; never expected, always a finding about the *fuzzer*).
+failed — online, as a protocol-level exception, or in the end-state
+checks), ``"error"`` (the harness itself raised; never expected, always
+a finding about the *fuzzer*).
 """
 
 from __future__ import annotations
@@ -31,16 +36,19 @@ import numpy as np
 from ..core.algorithm_cc import EmptyInitialPolytopeError
 from ..core.config import ResilienceError
 from ..core.invariants import (
-    FullReport,
     OnlineViolation,
     StreamingInvariantChecker,
-    check_all,
+    check_agreement,
+    check_optimality,
+    check_termination,
+    has_views,
 )
 from ..core.runner import run_convex_hull_consensus
 from ..runtime.faults import FaultPlan
 from ..runtime.network import ChannelError
 from ..runtime.scheduler import ReplayScheduler, ScheduleRecorder, Scheduler
 from ..runtime.simulator import SimulationError
+from ..runtime.tracing import ExecutionTrace
 from .generator import (
     FuzzCase,
     build_inputs,
@@ -108,41 +116,28 @@ class FuzzOutcome:
         return self.status == STATUS_OK
 
 
-def _classify_full_report(report: FullReport) -> ViolationRecord | None:
-    """Map the first failed post-hoc property to a violation record."""
-    if report.validity.violations:
-        pid, t, excess = report.validity.violations[0]
-        return ViolationRecord(
-            kind="validity",
-            detail=f"h_{pid}[{t}] exceeds the correct-input hull by {excess:.6g}",
-            pid=pid,
-            round_index=t,
-        )
-    if not report.stable_vector.liveness_ok:
-        return ViolationRecord(
-            kind="stable-vector-liveness",
-            detail=f"view sizes {report.stable_vector.view_sizes}",
-        )
-    if not report.stable_vector.containment_ok:
-        return ViolationRecord(
-            kind="stable-vector-containment",
-            detail="completed views are not inclusion-comparable",
-        )
-    if not report.termination.ok:
+def _end_state_violation(trace: ExecutionTrace) -> ViolationRecord | None:
+    """The first failed end-state property of a run checked online."""
+    termination = check_termination(trace)
+    if not termination.ok:
         return ViolationRecord(
             kind="termination",
-            detail=f"undecided non-crashed processes: {report.termination.stuck}",
+            detail=f"undecided non-crashed processes: {termination.stuck}",
         )
-    if not report.agreement.ok:
+    agreement = check_agreement(trace)
+    if not agreement.ok:
         return ViolationRecord(
             kind="agreement",
             detail=(
-                f"disagreement {report.agreement.disagreement:.6g} >= "
-                f"eps {report.agreement.eps}"
+                f"disagreement {agreement.disagreement:.6g} >= "
+                f"eps {agreement.eps}"
             ),
         )
-    if report.optimality is not None and report.optimality.violations:
-        pid, t, excess = report.optimality.violations[0]
+    if not has_views(trace):
+        return None
+    optimality = check_optimality(trace)
+    if optimality.violations:
+        pid, t, excess = optimality.violations[0]
         return ViolationRecord(
             kind="optimality",
             detail=f"I_Z not contained in h_{pid}[{t}] (excess {excess:.6g})",
@@ -268,7 +263,7 @@ def run_case(
             STATUS_ERROR, error=f"{type(exc).__name__}: {exc}"
         )
 
-    violation = _classify_full_report(check_all(result.trace))
+    violation = _end_state_violation(result.trace)
     if violation is not None:
         return snapshot(STATUS_VIOLATION, violation=violation, result=result)
     return snapshot(STATUS_OK, result=result)

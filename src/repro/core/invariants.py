@@ -21,13 +21,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..geometry.hausdorff import disagreement_diameter, hausdorff_distance
 from ..geometry.intersection import optimal_polytope_iz
 from ..geometry.polytope import ConvexPolytope
 from ..geometry.tolerances import INVARIANT_TOL
-from ..runtime.tracing import ExecutionTrace
+from ..runtime.tracing import ExecutionTrace, correct_inputs
+
+
+def _excess(points, target: ConvexPolytope) -> float:
+    """How far ``points`` stick out of ``target``: the largest distance
+    from one of them to the polytope, 0.0 for no points.
+
+    The one measurement behind validity (state vertices against the
+    correct-input hull), Lemma 6 (``I_Z`` vertices against a state) and
+    the streaming validity check.
+    """
+    return max((target.distance_to_point(p) for p in points), default=0.0)
 
 
 @dataclass
@@ -49,9 +58,7 @@ class ValidityReport:
         return not self.violations
 
 
-def check_validity(
-    trace: ExecutionTrace, tol: float = INVARIANT_TOL
-) -> ValidityReport:
+def check_validity(trace: ExecutionTrace) -> ValidityReport:
     """Every ``h_i[t]`` must lie in ``H(correct inputs)`` (Theorem 2).
 
     Checked for *all* recorded states of all processes (the paper notes
@@ -75,10 +82,8 @@ def check_validity(
             continue
         for t, state in proc.all_states():
             checked += 1
-            excess = max(
-                (hull.distance_to_point(v) for v in state.vertices), default=0.0
-            )
-            if excess > tol:
+            excess = _excess(state.vertices, hull)
+            if excess > INVARIANT_TOL:
                 violations.append((proc.pid, t, excess))
                 worst = max(worst, excess)
     return ValidityReport(
@@ -201,9 +206,7 @@ class OptimalityReport:
         return not self.violations
 
 
-def check_optimality(
-    trace: ExecutionTrace, tol: float = INVARIANT_TOL
-) -> OptimalityReport:
+def check_optimality(trace: ExecutionTrace) -> OptimalityReport:
     """``I_Z subseteq h_i[t]`` for all live states (Lemma 6).
 
     Also reports ``final_gap``: the largest directed Hausdorff distance
@@ -227,10 +230,8 @@ def check_optimality(
     for proc in trace.processes:
         for t, state in proc.states.items():
             checked += 1
-            excess = max(
-                (state.distance_to_point(v) for v in iz.vertices), default=0.0
-            )
-            if excess > tol:
+            excess = _excess(iz.vertices, state)
+            if excess > INVARIANT_TOL:
                 violations.append((proc.pid, t, excess))
                 worst = max(worst, excess)
     outputs = list(trace.fault_free_outputs().values())
@@ -262,10 +263,14 @@ def check_stable_vector(trace: ExecutionTrace) -> StableVectorReport:
 
     Liveness: every process that completed round 0 holds ``>= n - f``
     tuples.  Containment: all completed views are pairwise inclusion-
-    comparable.
+    comparable.  Byzantine processes are exempt, as in validity and
+    termination: the properties quantify over correct processes.
     """
+    byzantine = trace.fault_plan.byzantine
     views = [
-        set(proc.r_view) for proc in trace.processes if proc.r_view is not None
+        set(proc.r_view)
+        for proc in trace.processes
+        if proc.r_view is not None and proc.pid not in byzantine
     ]
     sizes = [len(v) for v in views]
     liveness = all(size >= trace.n - trace.f for size in sizes)
@@ -303,14 +308,19 @@ class FullReport:
         )
 
 
-def check_all(trace: ExecutionTrace, tol: float = INVARIANT_TOL) -> FullReport:
+def has_views(trace: ExecutionTrace) -> bool:
+    """Whether any process completed a stable-vector round 0; Lemma 6 is
+    vacuous without one (see :class:`FullReport`)."""
+    return any(proc.r_view is not None for proc in trace.processes)
+
+
+def check_all(trace: ExecutionTrace) -> FullReport:
     """Run every invariant check on one execution."""
-    has_views = any(proc.r_view is not None for proc in trace.processes)
     return FullReport(
-        validity=check_validity(trace, tol=tol),
+        validity=check_validity(trace),
         agreement=check_agreement(trace),
         termination=check_termination(trace),
-        optimality=check_optimality(trace, tol=tol) if has_views else None,
+        optimality=check_optimality(trace) if has_views(trace) else None,
         stable_vector=check_stable_vector(trace),
     )
 
@@ -345,9 +355,13 @@ class StreamingInvariantChecker:
     violation is visible the moment the offending state or view is
     recorded, so they can be checked online against the live
     :class:`~repro.runtime.tracing.ProcessTrace` objects while the
-    simulator runs.  (ε-Agreement, Termination, and Lemma 6 containment
-    are end-state properties; runs that complete cleanly still go
-    through :func:`check_all` post-hoc.)
+    simulator runs.  The checker covers every state and view
+    :func:`check_validity` and :func:`check_stable_vector` would see
+    after the run, plus those of discarded incarnations, so a run it
+    passed needs only the end-state properties (ε-Agreement,
+    Termination, Lemma 6) checked post hoc.  Byzantine processes are
+    outside every streamed property's quantifier, as in the post-hoc
+    checks.
 
     Wire-up: pass an instance as ``observer=`` to
     :func:`~repro.core.runner.run_convex_hull_consensus`; the runner
@@ -357,8 +371,7 @@ class StreamingInvariantChecker:
     O(states + views), the same as one post-hoc pass.
     """
 
-    def __init__(self, tol: float = INVARIANT_TOL):
-        self.tol = tol
+    def __init__(self):
         self.polls = 0
         self.states_checked = 0
         self.views_checked = 0
@@ -366,15 +379,15 @@ class StreamingInvariantChecker:
 
     def bind(self, traces, fault_plan, config) -> "StreamingInvariantChecker":
         """Attach to the live traces of a run about to start."""
-        self._traces = list(traces)
-        self._n = config.n
-        self._f = config.f
+        traces = list(traces)
+        self._correct_hull = ConvexPolytope.from_points(
+            correct_inputs(traces, fault_plan)
+        )
         # Byzantine pids are outside the quantifier of every streamed
         # property — their (honest-core) states are never checked.
-        self._byzantine = set(fault_plan.byzantine)
-        incorrect = fault_plan.incorrect
-        rows = [t.input_point for t in self._traces if t.pid not in incorrect]
-        self._correct_hull = ConvexPolytope.from_points(np.array(rows))
+        self._traces = [t for t in traces if t.pid not in fault_plan.byzantine]
+        self._n = config.n
+        self._f = config.f
         self._seen_states: dict[int, set[int]] = {
             t.pid: set() for t in self._traces
         }
@@ -393,8 +406,6 @@ class StreamingInvariantChecker:
             raise RuntimeError("poll() before bind(); attach to a run first")
         self.polls += 1
         for proc in self._traces:
-            if proc.pid in self._byzantine:
-                continue
             if proc.restarts != self._generations[proc.pid]:
                 self._generations[proc.pid] = proc.restarts
                 self._seen_states[proc.pid] = set()
@@ -433,14 +444,8 @@ class StreamingInvariantChecker:
 
     def _check_state(self, pid: int, t: int, state: ConvexPolytope) -> None:
         self.states_checked += 1
-        excess = max(
-            (
-                self._correct_hull.distance_to_point(v)
-                for v in state.vertices
-            ),
-            default=0.0,
-        )
-        if excess > self.tol:
+        excess = _excess(state.vertices, self._correct_hull)
+        if excess > INVARIANT_TOL:
             raise OnlineViolation(
                 "validity",
                 f"h_{pid}[{t}] exceeds the hull of correct inputs by "

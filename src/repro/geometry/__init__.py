@@ -16,7 +16,6 @@ from .combination import (
     stochastic_row_combination,
     validate_weights,
 )
-from .depth import in_depth_region, tukey_depth
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -131,7 +130,6 @@ __all__ = [
     "hull_vertices_2d",
     "interpolate",
     "intersect_polytopes",
-    "in_depth_region",
     "intersect_hulls",
     "intersect_subset_hulls",
     "linear_combination",
@@ -158,7 +156,6 @@ __all__ = [
     "stochastic_row_combination",
     "subset_count",
     "subset_intersection_is_nonempty",
-    "tukey_depth",
     "tverberg_partition",
     "tverberg_partition_1d",
     "validate_weights",

@@ -39,6 +39,10 @@ _NEGLIGIBLE_WEIGHT = 1e-15
 #: by roughly this many points instead of ``|acc| * |term|``.
 _PAIR_BLOCK = 2048
 
+#: Safety cap on the candidate-product size of one pairwise Minkowski
+#: step; a larger product raises ``MemoryError``.
+MAX_INTERMEDIATE_VERTICES = 100_000
+
 
 def validate_weights(weights: Sequence[float], count: int) -> np.ndarray:
     """Check that ``weights`` is a stochastic vector of length ``count``."""
@@ -64,10 +68,7 @@ def _combine_1d(polytopes: Sequence[ConvexPolytope], w: np.ndarray) -> ConvexPol
 
 
 def linear_combination(
-    polytopes: Sequence[ConvexPolytope],
-    weights: Sequence[float],
-    *,
-    max_intermediate_vertices: int = 100_000,
+    polytopes: Sequence[ConvexPolytope], weights: Sequence[float]
 ) -> ConvexPolytope:
     """Compute ``L(polytopes; weights)`` per Definition 2 of the paper.
 
@@ -103,25 +104,22 @@ def linear_combination(
         COMBINATION_CACHE,
         (
             dim,
-            max_intermediate_vertices,
             tuple(array_key(poly.vertices) for poly, _ in active),
             tuple(c for _, c in active),
         ),
-        lambda: _combine_minkowski(active, dim, max_intermediate_vertices),
+        lambda: _combine_minkowski(active, dim),
     )
 
 
 def _combine_minkowski(
-    active: list[tuple[ConvexPolytope, float]],
-    dim: int,
-    max_intermediate_vertices: int,
+    active: list[tuple[ConvexPolytope, float]], dim: int
 ) -> ConvexPolytope:
     """Iterated pairwise weighted Minkowski sums with hull pruning."""
     first_poly, first_c = active[0]
     acc = first_c * first_poly.vertices
     for poly, c in active[1:]:
         term = c * poly.vertices
-        acc = _minkowski_pair_hull(acc, term, dim, max_intermediate_vertices)
+        acc = _minkowski_pair_hull(acc, term, dim)
     # ``acc`` is the output of a hull computation (or a single scaled
     # vertex set), i.e. already minimal — construct via the trusted path
     # instead of re-running the hull on its own output.
@@ -130,12 +128,7 @@ def _combine_minkowski(
     return ConvexPolytope(acc, dim, _trusted=True)
 
 
-def _minkowski_pair_hull(
-    acc: np.ndarray,
-    term: np.ndarray,
-    dim: int,
-    max_intermediate_vertices: int,
-) -> np.ndarray:
+def _minkowski_pair_hull(acc: np.ndarray, term: np.ndarray, dim: int) -> np.ndarray:
     """Hull of ``{a + t : a in acc, t in term}`` without the full product.
 
     The candidate product has ``|acc| * |term|`` points, but almost all of
@@ -145,16 +138,16 @@ def _minkowski_pair_hull(
     ones are folded block by block into a *running hull*, which prunes the
     dominated sums of each block before the next block is generated, so
     peak memory stays ~``_PAIR_BLOCK`` points instead of the full product.
-    The ``max_intermediate_vertices`` cap keeps its historical meaning as
-    a guard on the total candidate-product size.
+    :data:`MAX_INTERMEDIATE_VERTICES` guards the total candidate-product
+    size.
     """
     total = acc.shape[0] * term.shape[0]
     PERF.minkowski_pairs += 1
     PERF.minkowski_candidates += total
-    if total > max_intermediate_vertices:
+    if total > MAX_INTERMEDIATE_VERTICES:
         raise MemoryError(
             f"Minkowski intermediate of {total} candidate vertices "
-            f"exceeds the safety cap {max_intermediate_vertices}"
+            f"exceeds the safety cap {MAX_INTERMEDIATE_VERTICES}"
         )
     if total <= _PAIR_BLOCK:
         sums = (acc[:, None, :] + term[None, :, :]).reshape(-1, dim)

@@ -192,14 +192,24 @@ def dedupe_halfspaces(
 # LP helpers
 # ----------------------------------------------------------------------
 
+#: The tightest feasibility tolerances HiGHS accepts (its defaults are
+#: 1e-7).
+_TIGHT_HIGHS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+
+
 def chebyshev_center(
-    a: np.ndarray, b: np.ndarray
+    a: np.ndarray, b: np.ndarray, *, tight: bool = False
 ) -> tuple[np.ndarray, float]:
     """Centre and radius of the largest ball inscribed in ``{x: Ax <= b}``.
 
     Solves ``max r  s.t.  A x + ||A_i|| r <= b, r >= 0``.  Raises
     :class:`InfeasibleRegionError` when the region is empty.  A radius of
-    (numerically) zero signals a lower-dimensional region.
+    (numerically) zero signals a lower-dimensional region.  HiGHS accepts
+    constraint violations up to 1e-7 by default; ``tight=True`` solves at
+    its tightest tolerances (:data:`_TIGHT_HIGHS`) instead.
     """
     if a.shape[0] == 0:
         raise ValueError("chebyshev_center requires at least one halfspace")
@@ -210,7 +220,14 @@ def chebyshev_center(
     a_ub = np.hstack([a, norms[:, None]])
     bounds = [(None, None)] * dim + [(0, None)]
     PERF.lp_solves += 1
-    res = linprog(c, A_ub=a_ub, b_ub=b, bounds=bounds, method="highs")
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=b,
+        bounds=bounds,
+        method="highs",
+        options=_TIGHT_HIGHS if tight else None,
+    )
     if not res.success:
         raise InfeasibleRegionError(
             f"halfspace system infeasible or unbounded: {res.message}"
@@ -267,6 +284,14 @@ def _implicit_equalities(
         if min_val >= b[i] - tol:
             eq_idx.append(i)
     return np.array(eq_idx, dtype=int)
+
+
+def _certified_radius(a: np.ndarray, b: np.ndarray, center: np.ndarray) -> float:
+    """Radius of the largest ball about ``center`` inside ``{x : A x <= b}``.
+
+    Negative when ``center`` violates a constraint.
+    """
+    return float(np.min((b - a @ center) / np.linalg.norm(a, axis=1)))
 
 
 def _chart_from_equalities(
@@ -334,6 +359,23 @@ def vertices_of_halfspace_system(
         return np.array([[lo], [hi]])
 
     scale = max(float(np.max(np.abs(center))), 1.0)
+    radius = max(radius, 0.0)  # HiGHS may return r slightly below its bound
+    certified = _certified_radius(a, b, center)
+    if certified < min(radius, degeneracy_tol * scale) - ABS_TOL * scale:
+        # Within its default 1e-7 tolerance HiGHS can return a centre
+        # outside a region thinner than that, with a positive radius;
+        # Qhull then rejects the centre, 2-d clipping finds the region
+        # empty, and a chart through that centre pinches the region out.
+        # Re-solve at tight tolerances.  A system infeasible at those is
+        # pinched at a level between 1e-10 and 1e-7: keep the loose
+        # centre, which the negative radius below sends down the
+        # degenerate path.
+        try:
+            center, radius = chebyshev_center(a, b, tight=True)
+            certified = _certified_radius(a, b, center)
+        except InfeasibleRegionError:
+            pass
+    radius = min(radius, certified)
     if radius > degeneracy_tol * scale and not pinched:
         return _vertices_full_dim(a, b, center)
 
@@ -387,7 +429,14 @@ def vertices_of_halfspace_system(
         a_loc, b_loc, degeneracy_tol=degeneracy_tol, _depth=_depth + 1
     )
     if local_vertices.shape[0] == 0:
-        return np.zeros((0, dim))
+        if pinched:
+            return np.zeros((0, dim))
+        # Unpinched, the region was feasible at zero slack, so it is not
+        # empty: the chart lost it, either to a constraint nearly normal
+        # to the chart, whose offset noise projects to a bound far from
+        # the centre, or to a centre off the region by up to HiGHS's
+        # default tolerance.
+        return center.reshape(1, -1)
     return chart.to_ambient(local_vertices)
 
 
@@ -413,6 +462,17 @@ def _vertices_full_dim(
         return hull_vertices(ring)
     if _HalfspaceIntersection is None:  # pragma: no cover
         raise SolverError("scipy is required for halfspace intersection")
+    if _certified_radius(a, b, interior) <= 0.0:
+        # Qhull rejects a point on the boundary, and the loose Chebyshev LP
+        # can stop there, short of the optimum, on a sliver thinner than
+        # its 1e-7 tolerance.  A sliver without interior even at tight
+        # tolerances is numerically a point.
+        try:
+            interior, _ = chebyshev_center(a, b, tight=True)
+        except InfeasibleRegionError:
+            return interior.reshape(1, -1)
+        if _certified_radius(a, b, interior) <= 0.0:
+            return interior.reshape(1, -1)
     stacked = np.hstack([a, -b[:, None]])
     try:
         hs = _HalfspaceIntersection(stacked, interior)

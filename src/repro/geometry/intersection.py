@@ -16,7 +16,8 @@ Implementation notes
   max-over-subsets of the subset minimum is attained by discarding the f
   smallest points, and symmetrically for the upper endpoint.
 * Depth fast path (d >= 2): the intersection equals the region of Tukey
-  depth ``>= f + 1`` (see :mod:`repro.geometry.depth`), whose facets lie
+  depth ``>= f + 1`` (the test oracle ``tests/oracles/depth.py``
+  computes that depth point by point), whose facets lie
   on hyperplanes spanned by ``d`` affinely independent points of the
   multiset.  :func:`depth_region_halfspaces` therefore generates every
   hyperplane through a d-subset (vectorized, in blocks: one batched
@@ -147,9 +148,9 @@ def depth_region_halfspaces(
     # rejected every candidate as non-spanning for a unit cluster
     # translated to ~1e6 (extent 1, tolerance 1e-9 * 1e12) and over-
     # counted points as on-boundary via the inflated side tolerance.
-    # Centering also matches the depth oracle (tukey_depth_2d /
-    # tukey_depth_sampled), which scales by the spread about the query
-    # point, so both count closed sides identically.
+    # Centering also matches the test suite's depth oracle, which scales
+    # by the spread about the query point, so both count closed sides
+    # identically.
     centroid = pts.mean(axis=0)
     cpts = pts - centroid
     extent = max(1.0, float(np.max(np.abs(cpts))))

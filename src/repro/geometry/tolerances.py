@@ -33,9 +33,10 @@ VOLUME_RTOL: float = 1e-6
 RANK_TOL: float = 1e-8
 
 #: Tolerance for deciding which side of a hyperplane a point lies on when
-#: counting halfspace populations — used by the Tukey-depth oracle and by
-#: the depth fast path for line 5's subset-hull intersection, so both count
-#: "on the closed side" identically.  Users scale it by the data's *extent*
+#: counting halfspace populations — used by the depth fast path for line
+#: 5's subset-hull intersection and by the test suite's Tukey-depth oracle
+#: (``tests/oracles/depth.py``), so both count "on the closed side"
+#: identically.  Users scale it by the data's *extent*
 #: (spread about the centroid / query point), never by raw coordinate
 #: magnitude: side counts are translation-invariant, and magnitude-scaled
 #: tolerances blow up on clusters translated far from the origin.

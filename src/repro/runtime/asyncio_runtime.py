@@ -45,7 +45,6 @@ class AsyncioNetwork:
     reliable transport.
     """
 
-    checkpoint_store = None
     app_deliveries: tuple[tuple[int, int], ...] = ()
 
     def __init__(self, n: int, *, seed: int, max_delay: float):

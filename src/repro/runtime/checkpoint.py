@@ -1,11 +1,11 @@
 """Durable per-process checkpoints — the state behind ``durable`` recovery.
 
 A checkpoint is a JSON-safe dict snapshotting one process's protocol
-state (see :meth:`~repro.core.algorithm_cc.CCProcess.checkpoint`) or the
-reliable transport's per-channel counters
-(:meth:`~repro.runtime.transport.TransportNetwork.checkpoint`).  Stores
-keep only the *latest* snapshot per key: recovery semantics are "resume
-from the most recent durable state", not an event log.
+state (see :meth:`~repro.core.algorithm_cc.CCProcess.checkpoint`).
+Channel state is never checkpointed: the channels are infrastructure
+that survives every revival.  Stores keep only the *latest* snapshot per
+key: recovery semantics are "resume from the most recent durable state",
+not an event log.
 
 Two backends:
 
@@ -55,11 +55,10 @@ def checkpoint_digest(data: Any) -> str:
 class CheckpointStore:
     """In-memory latest-snapshot-per-key store.
 
-    Keys are process pids (ints) or reserved string names (the transport
-    checkpoints under ``"transport"``).  ``save`` round-trips the payload
-    through JSON: this both enforces JSON-safety at save time (where the
-    bug would be) and guarantees a later ``load`` hands back data fully
-    decoupled from the saver's live objects.
+    The recovery layer keys snapshots by pid.  ``save`` round-trips the
+    payload through JSON: this both enforces JSON-safety at save time
+    (where the bug would be) and guarantees a later ``load`` hands back
+    data fully decoupled from the saver's live objects.
     """
 
     def __init__(self) -> None:

@@ -78,11 +78,10 @@ class Network:
 
     Also the simulator's structural delivery source (see
     :mod:`repro.runtime.simulator`).  Queued messages survive a restart in
-    their channels, so there is no channel state to checkpoint, and the
-    scheduler's decisions already are the application schedule.
+    their channels, and the scheduler's decisions already are the
+    application schedule.
     """
 
-    checkpoint_store = None
     app_deliveries: tuple[tuple[int, int], ...] = ()
 
     def __init__(self, n: int):

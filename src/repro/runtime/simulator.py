@@ -31,8 +31,10 @@ A source is the shells' network (``n``, ``send``) plus ``next(sched)``
 (the next envelope, already taken off its channel, or ``None`` at
 quiescence), ``mark_crashed(pid, recovering)``, ``mark_recovered(pid)``
 (returns the envelopes parked for ``pid`` while it was down), ``steps``
-(scheduler decisions so far), ``messages_sent``/``messages_delivered``,
-``app_deliveries`` and a ``checkpoint_store`` slot for channel state.
+(scheduler decisions so far), ``messages_sent``/``messages_delivered``
+and ``app_deliveries``.  Channels are infrastructure: a source is never
+rebuilt, so a revived process finds its channels as it left them and no
+channel state is checkpointed.
 
 Liveness and the deliverable-head set are updated at the single place
 they can change — a crash fired by the shell that just processed an
@@ -162,7 +164,6 @@ def _drive(
 
     plan = (fault_plan or FaultPlan.none()).validate(len(cores))
     store = make_recovery_setup(plan, checkpoint_store, core_factory)
-    source.checkpoint_store = store
     shells = _build_shells(cores, plan, source, store)
     manager = (
         RecoveryManager(plan, shells, core_factory=core_factory, store=store)

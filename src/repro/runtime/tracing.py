@@ -84,6 +84,13 @@ class ProcessTrace:
             yield from states.items()
 
 
+def correct_inputs(processes, fault_plan: FaultPlan) -> np.ndarray:
+    """Input rows of the ``processes`` whose inputs ``fault_plan`` makes
+    correct — for a finished trace or for the live traces of a run."""
+    incorrect = fault_plan.incorrect
+    return np.array([p.input_point for p in processes if p.pid not in incorrect])
+
+
 @dataclass
 class ExecutionTrace:
     """Full record of one simulated execution."""
@@ -139,13 +146,7 @@ class ExecutionTrace:
     @property
     def correct_inputs(self) -> np.ndarray:
         """Inputs of processes with *correct* inputs (``V - incorrect``)."""
-        incorrect = self.fault_plan.incorrect
-        rows = [
-            proc.input_point
-            for proc in self.processes
-            if proc.pid not in incorrect
-        ]
-        return np.array(rows)
+        return correct_inputs(self.processes, self.fault_plan)
 
     @property
     def all_inputs(self) -> np.ndarray:

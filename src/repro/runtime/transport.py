@@ -392,7 +392,6 @@ class TransportNetwork:
         # frames parked: acked already, they can never be retransmitted).
         self.steps = 0
         self.app_deliveries: list[tuple[int, int]] = []
-        self.checkpoint_store = None
         self._released: deque[Frame] = deque()
         self._frame_open = False
         self._crashed: set[int] = set()
@@ -524,9 +523,9 @@ class TransportNetwork:
         application frames, handed out one per call.  A frame released to
         a crashed receiver is parked when the receiver will come back and
         retired at the boundary oracle otherwise (old-network semantics:
-        the transport acked it, the application never sees it).  The
-        channel checkpoint and :meth:`pump` run once per fabric frame,
-        after every application frame it released.
+        the transport acked it, the application never sees it).
+        :meth:`pump` runs once per fabric frame, after every application
+        frame it released.
         """
         while True:
             while self._released:
@@ -540,7 +539,6 @@ class TransportNetwork:
                     self.note_crashed_drop(frame)
             if self._frame_open:
                 self._frame_open = False
-                self._save_checkpoint()
                 self.pump()
             frames = self.fabric.ready_frames()
             if not frames:
@@ -571,59 +569,10 @@ class TransportNetwork:
         before anything else reaches it.
         """
         self._crashed.discard(dst)
-        self._save_checkpoint()
         parked = self._parked.pop(dst, [])
         for frame in parked:
             self.deliver_to_app(frame)
         return parked
-
-    def _save_checkpoint(self) -> None:
-        if self.checkpoint_store is not None:
-            self.checkpoint_store.save("transport", self.checkpoint())
-
-    # -- checkpointing (crash-recovery support) ----------------------------
-    def checkpoint(self) -> dict:
-        """JSON-safe snapshot of the per-channel transport state.
-
-        Per directed link: the next send sequence number, the cumulative
-        ack (receiver's next expected sequence), the delivery-boundary
-        counter, and a digest of the retransmit queue (the sorted
-        unacknowledged sequence numbers).  Everything a restarted
-        transport endpoint needs to resume seq/ack numbering without
-        violating FIFO exactly-once.
-        """
-        links = (
-            set(self._send_seq) | set(self._expected)
-            | set(self._boundary_seq) | set(self._unacked)
-        )
-        return {
-            "clock": self.fabric.clock,
-            "channels": {
-                f"{src}->{dst}": {
-                    "send_seq": self._send_seq.get((src, dst), 0),
-                    "expected": self._expected.get((src, dst), 0),
-                    "boundary": self._boundary_seq.get((src, dst), 0),
-                    "unacked": sorted(self._unacked.get((src, dst), {})),
-                }
-                for src, dst in sorted(links)
-            },
-        }
-
-    def restore_channels(self, data: dict) -> None:
-        """Resume seq/ack numbering from a :meth:`checkpoint` snapshot.
-
-        Only the counters are restored — queued frames belong to the
-        fabric, and unacknowledged payloads died with the old endpoint
-        (their sequence numbers stay burned, so receivers treat any
-        stale copy as a duplicate).  Used when simulating a whole-node
-        restart in which the transport endpoint itself is rebuilt.
-        """
-        for key, ch in data["channels"].items():
-            src_s, dst_s = key.split("->")
-            link = (int(src_s), int(dst_s))
-            self._send_seq[link] = int(ch["send_seq"])
-            self._expected[link] = int(ch["expected"])
-            self._boundary_seq[link] = int(ch["boundary"])
 
     def _on_ack(self, frame: Frame) -> None:
         # An ack travelling dst -> src acknowledges the data link

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry.depth import (
+from tests.oracles.depth import (
     in_depth_region,
     tukey_depth,
     tukey_depth_1d,

@@ -80,7 +80,7 @@ def uncached_combination(polys, weights):
         return linear_combination(polys, weights)
     w = validate_weights(weights, len(polys))
     active = [(p, float(c)) for p, c in zip(polys, w)]
-    return _combine_minkowski(active, polys[0].dim, 100_000)
+    return _combine_minkowski(active, polys[0].dim)
 
 
 class TestSubsetIntersectionIdentity:

@@ -8,12 +8,12 @@ from hypothesis.extra import numpy as hnp
 from itertools import combinations
 from scipy.optimize import linprog
 
-from repro.geometry.depth import tukey_depth
 from repro.geometry.intersection import (
     intersect_subset_hulls,
     subset_intersection_is_nonempty,
 )
 from repro.geometry.polytope import ConvexPolytope
+from tests.oracles.depth import tukey_depth
 
 finite_floats = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
