@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..geometry.hausdorff import disagreement_diameter, hausdorff_distance
 from ..geometry.intersection import optimal_polytope_iz
 from ..geometry.polytope import ConvexPolytope
@@ -35,7 +37,33 @@ def _excess(points, target: ConvexPolytope) -> float:
     The one measurement behind validity (state vertices against the
     correct-input hull), Lemma 6 (``I_Z`` vertices against a state) and
     the streaming validity check.
+
+    In d >= 2 only the points the target's cached H-rep cannot certify
+    are projected; the violations of all of them come from one matrix
+    product (:meth:`ConvexPolytope.violation`).  Why that is sound:
+
+    * every H-rep row is a unit normal (2-d edges are normalised, Qhull
+      facet equations are unit, rows lifted through an orthonormal chart
+      stay unit), so a violation <= 0 puts the point inside the H-rep
+      polytope;
+    * that polytope differs from the hull only by the rounding of the
+      facet offsets, a few ulps times the coordinate scale (~1e-10 at
+      1e6), far below :data:`INVARIANT_TOL`;
+    * a lower-dimensional target carries equality pairs, which rarely
+      certify, so its points fall back to projection;
+    * a point with a violation > 0 still takes its excess from the
+      projection, so the reported excesses are the projection's.
+
+    The uncertified rows are selected as ``not (v <= 0)``: a non-finite
+    point has a NaN or infinite violation and is projected, which raises
+    ``ValueError``.  d = 1 keeps the exact clamp, which is cheaper than
+    building an H-rep for every state.
     """
+    points = np.asarray(points, dtype=float)
+    if target.dim >= 2 and len(points):
+        with np.errstate(invalid="ignore"):
+            violation = target.violation(points)
+        points = points[~(violation <= 0.0)]
     return max((target.distance_to_point(p) for p in points), default=0.0)
 
 
@@ -200,6 +228,9 @@ class OptimalityReport:
     violations: list[tuple[int, int, float]] = field(default_factory=list)
     worst_excess: float = 0.0
     final_gap: float | None = None
+    #: States of Byzantine processes, counted but exempt, as in
+    #: :class:`ValidityReport`: Lemma 6 is about correct processes.
+    adversary_states: int = 0
 
     @property
     def ok(self) -> bool:
@@ -218,16 +249,23 @@ def check_optimality(trace: ExecutionTrace) -> OptimalityReport:
     are checked.  Lemma 6 is a statement about one protocol execution;
     a discarded pre-restart incarnation's states belong to an execution
     that was abandoned, and the common view ``Z`` is likewise built from
-    the surviving incarnations' round-0 views.
+    the surviving incarnations' round-0 views.  Byzantine processes are
+    exempt, as in validity: their states are counted
+    (``adversary_states``) but never flagged.
     """
     points = trace.common_view_points()
     if points.size == 0:
         raise ValueError("trace has no common view; was the run completed?")
     iz = optimal_polytope_iz(points, trace.f)
+    byzantine = set(trace.fault_plan.byzantine)
     checked = 0
+    adversary = 0
     violations: list[tuple[int, int, float]] = []
     worst = 0.0
     for proc in trace.processes:
+        if proc.pid in byzantine:
+            adversary += len(proc.states)
+            continue
         for t, state in proc.states.items():
             checked += 1
             excess = _excess(iz.vertices, state)
@@ -244,6 +282,7 @@ def check_optimality(trace: ExecutionTrace) -> OptimalityReport:
         violations=violations,
         worst_excess=worst,
         final_gap=final_gap,
+        adversary_states=adversary,
     )
 
 

@@ -334,16 +334,22 @@ class ConvexPolytope:
         a, b = self._hrep
         return a.copy(), b.copy()
 
-    def violation(self, point) -> float:
+    def violation(self, points) -> float | np.ndarray:
         """Max halfspace violation ``max(A x - b)`` (<= 0 means inside).
 
         An H-rep-based alternative to :meth:`distance_to_point`: cheap
         per query once the H-rep is cached, and signed (negative values
-        measure interior margin).
+        measure interior margin).  One point gives a float; a ``(k, d)``
+        array gives one violation per row, from one matrix product.
         """
         self._require_nonempty("violation")
-        p = np.asarray(point, dtype=float).reshape(-1)
+        pts = np.asarray(points, dtype=float)
+        a, b = self._hrep
+        if pts.ndim == 2:
+            if pts.shape[1] != self._dim:
+                raise DimensionMismatchError("point dimension mismatch")
+            return np.max(pts @ a.T - b, axis=1)
+        p = pts.reshape(-1)
         if p.size != self._dim:
             raise DimensionMismatchError("point dimension mismatch")
-        a, b = self._hrep
         return float(np.max(a @ p - b))

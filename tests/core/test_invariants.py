@@ -62,7 +62,9 @@ class TestOnRealRuns:
 
 
 class TestDetectsViolations:
-    def _synthetic_trace(self, states_by_pid, inputs, decided=True):
+    def _synthetic_trace(
+        self, states_by_pid, inputs, decided=True, fault_plan=FaultPlan.none()
+    ):
         n = len(inputs)
         procs = []
         for pid in range(n):
@@ -80,7 +82,7 @@ class TestDetectsViolations:
             dim=1,
             eps=0.1,
             t_end=1,
-            fault_plan=FaultPlan.none(),
+            fault_plan=fault_plan,
             seed=0,
             scheduler_name="synthetic",
             processes=procs,
@@ -131,6 +133,26 @@ class TestDetectsViolations:
         )
         report = check_optimality(trace)
         assert not report.ok
+
+    def test_optimality_exempts_byzantine_pids(self):
+        """Lemma 6 quantifies over correct processes, as validity does: a
+        Byzantine pid's honest-core states are counted, never flagged."""
+        inputs = [[0.0], [0.2], [0.4], [0.6]]
+        tiny = ConvexPolytope.singleton([0.3])  # I_Z is [0.2, 0.4]
+        good = ConvexPolytope.from_interval(0.1, 0.5)
+        trace = self._synthetic_trace(
+            {0: {1: tiny, 2: tiny}, 1: {1: good}, 2: {1: good}, 3: {1: good}},
+            inputs,
+            fault_plan=FaultPlan.byzantine_at([0]),
+        )
+        report = check_optimality(trace)
+        assert report.ok, report.violations
+        assert report.adversary_states == 2
+        assert report.checked_states == 3
+        trace.fault_plan = FaultPlan.none()
+        report = check_optimality(trace)
+        assert [v[0] for v in report.violations] == [0, 0]
+        assert report.adversary_states == 0
 
     def test_containment_violation_detected(self):
         inputs = [[0.0], [0.2], [0.4], [0.6]]
