@@ -47,7 +47,7 @@ def bench_e03_optimality(benchmark):
                 sizes.iz_measure,
                 min(sizes.output_measures.values()),
                 sizes.min_ratio_vs_iz,
-                report.final_gap,
+                sizes.final_gap,
             ]
         )
 

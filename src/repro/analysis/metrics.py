@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry.hausdorff import disagreement_diameter
+from ..geometry.hausdorff import disagreement_diameter, hausdorff_distance
 from ..geometry.intersection import optimal_polytope_iz
 from ..geometry.polytope import ConvexPolytope
 from ..geometry.volume import polytope_measure, volume_ratio
@@ -113,6 +113,11 @@ class OutputSizeReport:
     min_ratio_vs_iz: float
     mean_ratio_vs_correct_hull: float
     output_diameters: dict[int, float]
+    #: The largest Hausdorff distance from a fault-free output to ``I_Z``:
+    #: how much *extra* region beyond the guaranteed optimum the run
+    #: retained (Theorem 3 allows any excess; the guarantee is
+    #: one-sided).  None without outputs or with an empty ``I_Z``.
+    final_gap: float | None
 
 
 def output_size_report(trace: ExecutionTrace) -> OutputSizeReport:
@@ -126,6 +131,9 @@ def output_size_report(trace: ExecutionTrace) -> OutputSizeReport:
     ratios_hull = [
         volume_ratio(poly, correct_hull) for poly in outputs.values()
     ]
+    final_gap = None
+    if outputs and not iz.is_empty:
+        final_gap = max(hausdorff_distance(out, iz) for out in outputs.values())
     return OutputSizeReport(
         iz_measure=polytope_measure(iz),
         output_measures=measures,
@@ -135,6 +143,7 @@ def output_size_report(trace: ExecutionTrace) -> OutputSizeReport:
             float(np.mean(ratios_hull)) if ratios_hull else float("nan")
         ),
         output_diameters=diameters,
+        final_gap=final_gap,
     )
 
 

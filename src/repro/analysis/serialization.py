@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from ..geometry.polytope import ConvexPolytope
-from ..runtime.faults import ByzantineSpec, CrashSpec, FaultPlan, RecoverySpec
+from ..runtime.faults import FaultPlan
 from ..runtime.messages import InputTuple
 from ..runtime.tracing import ExecutionTrace, ProcessTrace
 
@@ -35,64 +35,6 @@ def _polytope_from_obj(obj: dict[str, Any]) -> ConvexPolytope:
     if verts.size == 0:
         return ConvexPolytope.empty(int(obj["dim"]))
     return ConvexPolytope.from_points(verts, dim=int(obj["dim"]))
-
-
-def fault_plan_to_obj(plan: FaultPlan) -> dict[str, Any]:
-    """JSON-safe form of a fault plan (public: chaos bundles use this)."""
-    return _fault_plan_to_obj(plan)
-
-
-def fault_plan_from_obj(obj: dict[str, Any]) -> FaultPlan:
-    """Rebuild a fault plan from :func:`fault_plan_to_obj` output."""
-    return _fault_plan_from_obj(obj)
-
-
-def _fault_plan_to_obj(plan: FaultPlan) -> dict[str, Any]:
-    return {
-        "faulty": sorted(plan.faulty),
-        "crashes": {
-            str(pid): [spec.round_index, spec.after_sends]
-            for pid, spec in plan.crashes.items()
-        },
-        "incorrect_inputs": (
-            sorted(plan.incorrect_inputs)
-            if plan.incorrect_inputs is not None
-            else None
-        ),
-        "recoveries": {
-            str(pid): [spec.recover_at, spec.durability]
-            for pid, spec in plan.recoveries.items()
-        },
-        "byzantine": {
-            str(pid): spec.to_json_dict()
-            for pid, spec in plan.byzantine.items()
-        },
-    }
-
-
-def _fault_plan_from_obj(obj: dict[str, Any]) -> FaultPlan:
-    return FaultPlan(
-        faulty=frozenset(obj["faulty"]),
-        crashes={
-            int(pid): CrashSpec(round_index=spec[0], after_sends=spec[1])
-            for pid, spec in obj["crashes"].items()
-        },
-        incorrect_inputs=(
-            frozenset(obj["incorrect_inputs"])
-            if obj["incorrect_inputs"] is not None
-            else None
-        ),
-        # .get: pre-recovery archives have no "recoveries" key.
-        recoveries={
-            int(pid): RecoverySpec(recover_at=spec[0], durability=spec[1])
-            for pid, spec in obj.get("recoveries", {}).items()
-        },
-        # .get: pre-Byzantine archives have no "byzantine" key.
-        byzantine={
-            int(pid): ByzantineSpec.from_json_dict(spec)
-            for pid, spec in obj.get("byzantine", {}).items()
-        },
-    )
 
 
 def _process_to_obj(proc: ProcessTrace) -> dict[str, Any]:
@@ -168,7 +110,7 @@ def trace_to_dict(trace: ExecutionTrace) -> dict[str, Any]:
         "t_end": trace.t_end,
         "seed": trace.seed,
         "scheduler": trace.scheduler_name,
-        "fault_plan": _fault_plan_to_obj(trace.fault_plan),
+        "fault_plan": trace.fault_plan.to_json_dict(),
         "messages_sent": trace.messages_sent,
         "messages_delivered": trace.messages_delivered,
         "delivery_steps": trace.delivery_steps,
@@ -189,7 +131,7 @@ def trace_from_dict(obj: dict[str, Any]) -> ExecutionTrace:
         dim=int(obj["dim"]),
         eps=float(obj["eps"]),
         t_end=int(obj["t_end"]),
-        fault_plan=_fault_plan_from_obj(obj["fault_plan"]),
+        fault_plan=FaultPlan.from_json_dict(obj["fault_plan"]),
         seed=int(obj["seed"]),
         scheduler_name=str(obj["scheduler"]),
         processes=[_process_from_obj(p) for p in obj["processes"]],

@@ -44,12 +44,9 @@ from .generator import (
     LABEL_PARTITION_HEAL,
     PROFILES,
     SCHEDULER_BUILDERS,
-    WORKLOAD_BUILDERS,
     FuzzCase,
     FuzzConfig,
     build_inputs,
-    build_link_plan,
-    build_plan,
     build_scheduler,
     generate_case,
 )
@@ -86,10 +83,7 @@ __all__ = [
     "STATUS_VIOLATION",
     "ShrinkResult",
     "ViolationRecord",
-    "WORKLOAD_BUILDERS",
     "build_inputs",
-    "build_link_plan",
-    "build_plan",
     "build_scheduler",
     "campaign_tasks",
     "fuzz_cell",

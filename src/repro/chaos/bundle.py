@@ -22,6 +22,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..runtime.faults import FaultPlan
 from .generator import FuzzCase
 from .runner import FuzzOutcome, outcome_fingerprint, replay_case
 from .shrinker import ShrinkResult
@@ -42,7 +43,7 @@ def make_bundle(
     case = outcome.case
     inputs, input_bounds = build_inputs(case)
     if shrink_result is not None:
-        plan_obj = shrink_result.plan_obj
+        plan = shrink_result.plan
         schedule = shrink_result.schedule
         pinned = shrink_result.outcome
         shrink_obj = {
@@ -52,7 +53,7 @@ def make_bundle(
             "original_schedule_len": len(outcome.schedule),
         }
     else:
-        plan_obj = dict(case.fault_plan)
+        plan = case.fault_plan
         schedule = outcome.schedule
         pinned = outcome
         shrink_obj = None
@@ -61,7 +62,7 @@ def make_bundle(
         "case": case.to_json_dict(),
         "inputs": np.asarray(inputs, dtype=float).tolist(),
         "input_bounds": list(input_bounds),
-        "fault_plan": plan_obj,
+        "fault_plan": plan.to_json_dict(),
         "schedule": [[src, dst] for src, dst in schedule],
         "violation": (
             pinned.violation.to_json_dict()
@@ -102,7 +103,7 @@ def replay_bundle(bundle: Mapping[str, Any]) -> tuple[FuzzOutcome, bool]:
     case = FuzzCase.from_json_dict(bundle["case"])
     outcome = replay_case(
         case,
-        bundle["fault_plan"],
+        FaultPlan.from_json_dict(bundle["fault_plan"]),
         tuple((int(s), int(d)) for s, d in bundle["schedule"]),
         inputs=np.asarray(bundle["inputs"], dtype=float),
         input_bounds=tuple(bundle["input_bounds"]),

@@ -82,7 +82,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..analysis.serialization import fault_plan_from_obj, fault_plan_to_obj
 from ..core.config import byzantine_required_processes, required_processes
 from ..core.runner import derive_bounds
 from ..runtime.faults import (
@@ -195,16 +194,6 @@ BEHAVIOR_COMBOS = (
     BYZANTINE_BEHAVIORS,
 )
 
-#: Workload name -> (n, d, seed) -> inputs array.  A subset of the input
-#: catalogue that is well-defined for every (n, d) the generator emits.
-WORKLOAD_BUILDERS = {
-    "gaussian": lambda n, d, seed: gen.gaussian_cluster(n, d, seed=seed),
-    "uniform": lambda n, d, seed: gen.uniform_box(n, d, seed=seed),
-    "two-clusters": lambda n, d, seed: gen.two_clusters(n, d, seed=seed),
-    "collinear": lambda n, d, seed: gen.collinear(n, d, seed=seed),
-    "simplex": lambda n, d, seed: gen.simplex_corners(n, d),
-}
-
 #: Scheduler name -> (seed, slow pids) -> strategy instance.
 SCHEDULER_BUILDERS = {
     "random": lambda seed, slow: RandomScheduler(seed=seed),
@@ -221,8 +210,7 @@ SCHEDULER_BUILDERS = {
 class FuzzConfig:
     """Knobs of the fault-space sampler (see ``docs/FAULT_MODEL.md``).
 
-    Every field is JSON-safe; two configs with equal fields generate
-    identical case streams.
+    Two configs with equal fields generate identical case streams.
     """
 
     profile: str = LABEL_LEGAL
@@ -246,45 +234,12 @@ class FuzzConfig:
             raise ValueError(
                 f"unknown profile {self.profile!r}; choose from {PROFILES}"
             )
-        unknown_w = set(self.workloads) - set(WORKLOAD_BUILDERS)
+        unknown_w = set(self.workloads) - set(gen.WORKLOADS)
         if unknown_w:
             raise ValueError(f"unknown workloads: {sorted(unknown_w)}")
         unknown_s = set(self.schedulers) - set(SCHEDULER_BUILDERS)
         if unknown_s:
             raise ValueError(f"unknown schedulers: {sorted(unknown_s)}")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "profile": self.profile,
-            "d_choices": list(self.d_choices),
-            "f_choices": list(self.f_choices),
-            "max_extra_processes": self.max_extra_processes,
-            "workloads": list(self.workloads),
-            "schedulers": list(self.schedulers),
-            "eps_range": list(self.eps_range),
-            "crash_probability": self.crash_probability,
-            "outlier_probability": self.outlier_probability,
-            "outlier_magnitude": self.outlier_magnitude,
-            "max_crash_round": self.max_crash_round,
-            "reliable_transport": self.reliable_transport,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "FuzzConfig":
-        return cls(
-            profile=data["profile"],
-            d_choices=tuple(data["d_choices"]),
-            f_choices=tuple(data["f_choices"]),
-            max_extra_processes=int(data["max_extra_processes"]),
-            workloads=tuple(data["workloads"]),
-            schedulers=tuple(data["schedulers"]),
-            eps_range=tuple(data["eps_range"]),
-            crash_probability=float(data["crash_probability"]),
-            outlier_probability=float(data["outlier_probability"]),
-            outlier_magnitude=float(data["outlier_magnitude"]),
-            max_crash_round=int(data["max_crash_round"]),
-            reliable_transport=bool(data.get("reliable_transport", True)),
-        )
 
 
 @dataclass(frozen=True)
@@ -292,9 +247,9 @@ class FuzzCase:
     """One sampled point of the fault space, fully JSON-serialisable.
 
     The case carries everything needed to *rebuild* the scenario
-    (``build_inputs`` / ``build_plan`` / ``build_scheduler``), and a repro
-    bundle additionally pins the built artefacts so replays survive
-    generator evolution.
+    (``build_inputs`` / ``build_scheduler``, plus the fault and link
+    plans themselves), and a repro bundle additionally pins the built
+    artefacts so replays survive generator evolution.
     """
 
     case_id: str
@@ -307,12 +262,12 @@ class FuzzCase:
     workload: str
     scheduler: str
     scheduler_seed: int
-    fault_plan: dict = field(default_factory=dict)
+    fault_plan: FaultPlan = field(default_factory=FaultPlan)
     outlier_pids: tuple[int, ...] = ()
     outlier_magnitude: float = 3.0
     enforce_resilience: bool = True
-    #: JSON form of a :class:`LinkFaultPlan` (None = reliable network).
-    link_faults: dict | None = None
+    #: None = reliable network.
+    link_faults: LinkFaultPlan | None = None
     reliable_transport: bool = True
     #: Which sibling runs the case: ``"cc"`` (crash, the default — every
     #: pre-Byzantine case deserialises to it) or ``"bcc"``.
@@ -330,11 +285,15 @@ class FuzzCase:
             "workload": self.workload,
             "scheduler": self.scheduler,
             "scheduler_seed": self.scheduler_seed,
-            "fault_plan": self.fault_plan,
+            "fault_plan": self.fault_plan.to_json_dict(),
             "outlier_pids": list(self.outlier_pids),
             "outlier_magnitude": self.outlier_magnitude,
             "enforce_resilience": self.enforce_resilience,
-            "link_faults": self.link_faults,
+            "link_faults": (
+                self.link_faults.to_json_dict()
+                if self.link_faults is not None
+                else None
+            ),
             "reliable_transport": self.reliable_transport,
             "algorithm": self.algorithm,
         }
@@ -352,12 +311,12 @@ class FuzzCase:
             workload=str(data["workload"]),
             scheduler=str(data["scheduler"]),
             scheduler_seed=int(data["scheduler_seed"]),
-            fault_plan=dict(data["fault_plan"]),
+            fault_plan=FaultPlan.from_json_dict(data["fault_plan"]),
             outlier_pids=tuple(int(p) for p in data["outlier_pids"]),
             outlier_magnitude=float(data["outlier_magnitude"]),
             enforce_resilience=bool(data["enforce_resilience"]),
             link_faults=(
-                dict(data["link_faults"])
+                LinkFaultPlan.from_json_dict(data["link_faults"])
                 if data.get("link_faults") is not None
                 else None
             ),
@@ -368,7 +327,7 @@ class FuzzCase:
 
 def build_inputs(case: FuzzCase) -> tuple[np.ndarray, tuple[float, float]]:
     """The case's input array and a-priori bounds, deterministically."""
-    points = WORKLOAD_BUILDERS[case.workload](case.n, case.d, case.seed)
+    points = gen.WORKLOADS[case.workload](case.n, case.d, case.seed)
     if case.outlier_pids:
         points = gen.with_outliers(
             points,
@@ -379,22 +338,10 @@ def build_inputs(case: FuzzCase) -> tuple[np.ndarray, tuple[float, float]]:
     return points, derive_bounds(points, margin=0.1)
 
 
-def build_plan(case: FuzzCase) -> FaultPlan:
-    """The case's fault plan (validated against ``case.n``)."""
-    return fault_plan_from_obj(case.fault_plan).validate(case.n)
-
-
 def build_scheduler(case: FuzzCase) -> Scheduler:
     """A fresh scheduler instance for the case's strategy."""
-    slow = sorted(case.fault_plan.get("faulty", []))
+    slow = sorted(case.fault_plan.faulty)
     return SCHEDULER_BUILDERS[case.scheduler](case.scheduler_seed, slow)
-
-
-def build_link_plan(case: FuzzCase) -> LinkFaultPlan | None:
-    """The case's link-fault plan, or None for the reliable network."""
-    if case.link_faults is None:
-        return None
-    return LinkFaultPlan.from_json_dict(case.link_faults)
 
 
 def _pick(rng: np.random.Generator, options) -> Any:
@@ -608,14 +555,12 @@ def generate_case(config: FuzzConfig, seed: int) -> FuzzCase:
         workload=workload,
         scheduler=scheduler,
         scheduler_seed=int(seed),
-        fault_plan=fault_plan_to_obj(plan),
+        fault_plan=plan,
         outlier_pids=outlier_pids,
         outlier_magnitude=config.outlier_magnitude,
         enforce_resilience=label
         not in (LABEL_BELOW, LABEL_BYZ_BELOW, LABEL_BYZ_BEYOND),
-        link_faults=(
-            link_plan.to_json_dict() if link_plan is not None else None
-        ),
+        link_faults=link_plan,
         reliable_transport=config.reliable_transport,
         algorithm=algorithm,
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -49,13 +49,7 @@ from ..runtime.network import ChannelError
 from ..runtime.scheduler import ReplayScheduler, ScheduleRecorder, Scheduler
 from ..runtime.simulator import SimulationError
 from ..runtime.tracing import ExecutionTrace
-from .generator import (
-    FuzzCase,
-    build_inputs,
-    build_link_plan,
-    build_plan,
-    build_scheduler,
-)
+from .generator import FuzzCase, build_inputs, build_scheduler
 
 STATUS_OK = "ok"
 STATUS_VIOLATION = "violation"
@@ -86,15 +80,6 @@ class ViolationRecord:
             "pid": self.pid,
             "round_index": self.round_index,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "ViolationRecord":
-        return cls(
-            kind=str(data["kind"]),
-            detail=str(data["detail"]),
-            pid=data.get("pid"),
-            round_index=data.get("round_index"),
-        )
 
 
 @dataclass
@@ -154,7 +139,6 @@ def run_case(
     scheduler: Scheduler | None = None,
     inputs: np.ndarray | None = None,
     input_bounds: tuple[float, float] | None = None,
-    record: bool = True,
 ) -> FuzzOutcome:
     """Run one case (or a shrunk variant of it) and classify the outcome.
 
@@ -172,7 +156,9 @@ def run_case(
             from ..core.runner import derive_bounds
 
             input_bounds = derive_bounds(np.asarray(inputs), margin=0.1)
-        fault_plan = plan if plan is not None else build_plan(case)
+        fault_plan = (
+            plan if plan is not None else case.fault_plan.validate(case.n)
+        )
         base = scheduler if scheduler is not None else build_scheduler(case)
     except Exception as exc:  # noqa: BLE001 — a broken recipe is an error
         return FuzzOutcome(
@@ -180,8 +166,7 @@ def run_case(
             status=STATUS_ERROR,
             error=f"{type(exc).__name__}: {exc}",
         )
-    recorder = ScheduleRecorder(inner=base) if record else None
-    sched: Scheduler = recorder if recorder is not None else base
+    recorder = ScheduleRecorder(inner=base)
     checker = StreamingInvariantChecker()
 
     def snapshot(status: str, violation=None, error=None, result=None):
@@ -190,7 +175,7 @@ def run_case(
             status=status,
             violation=violation,
             error=error,
-            schedule=tuple(recorder.decisions) if recorder is not None else (),
+            schedule=tuple(recorder.decisions),
             messages_sent=(
                 result.report.messages_sent if result is not None else 0
             ),
@@ -209,12 +194,12 @@ def run_case(
             case.f,
             case.eps,
             fault_plan=fault_plan,
-            scheduler=sched,
+            scheduler=recorder,
             seed=case.scheduler_seed,
             input_bounds=input_bounds,
             enforce_resilience=case.enforce_resilience,
             observer=checker,
-            link_faults=build_link_plan(case),
+            link_faults=case.link_faults,
             reliable_transport=case.reliable_transport,
             algorithm=case.algorithm,
         )
@@ -271,7 +256,7 @@ def run_case(
 
 def replay_case(
     case: FuzzCase,
-    plan_obj: Mapping[str, Any],
+    plan: FaultPlan,
     schedule,
     *,
     inputs: np.ndarray | None = None,
@@ -284,15 +269,12 @@ def replay_case(
     every delivery decision and :class:`ReplayScheduler` degrades
     deterministically past the end of an edited list.
     """
-    from ..analysis.serialization import fault_plan_from_obj
-
     return run_case(
         case,
-        plan=fault_plan_from_obj(dict(plan_obj)),
+        plan=plan,
         scheduler=ReplayScheduler(decisions=tuple(schedule)),
         inputs=inputs,
         input_bounds=input_bounds,
-        record=True,
     )
 
 

@@ -2,8 +2,9 @@
 
 A raw fuzz hit is noisy — several crashed processes, crash cuts deep into
 a broadcast, thousands of recorded delivery decisions, most of them
-irrelevant.  The shrinker reduces along three axes, re-running the case
-after every candidate reduction and keeping it only if the *same
+irrelevant.  The shrinker reduces the case's
+:class:`~repro.runtime.faults.FaultPlan` and its schedule, re-running the
+case after every candidate reduction and keeping it only if the *same
 violation kind* still fires:
 
 1. **Drop faulty processes** — remove a pid from the fault plan entirely
@@ -36,9 +37,10 @@ is dominated by the *shortest* reproductions, not the original one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+from ..runtime.faults import FaultPlan
 from .generator import FuzzCase
 from .runner import FuzzOutcome, ViolationRecord, replay_case
 
@@ -50,7 +52,7 @@ class ShrinkResult:
     """A locally-minimal counterexample plus the path that led to it."""
 
     case: FuzzCase
-    plan_obj: dict[str, Any]
+    plan: FaultPlan
     schedule: Schedule
     violation: ViolationRecord
     outcome: FuzzOutcome
@@ -63,72 +65,28 @@ class ShrinkResult:
         return len(self.schedule)
 
 
-def _drop_pid(plan_obj: dict[str, Any], pid: int) -> dict[str, Any]:
+def _without(specs: dict[int, Any], pid: int) -> dict[int, Any]:
+    return {p: spec for p, spec in specs.items() if p != pid}
+
+
+def _drop_pid(plan: FaultPlan, pid: int) -> FaultPlan:
     """The plan with ``pid`` fully healthy (correct input, no crash)."""
-    out = {
-        "faulty": [p for p in plan_obj["faulty"] if p != pid],
-        "crashes": {
-            key: spec
-            for key, spec in plan_obj["crashes"].items()
-            if int(key) != pid
-        },
-        "incorrect_inputs": plan_obj.get("incorrect_inputs"),
-        "recoveries": {
-            key: spec
-            for key, spec in plan_obj.get("recoveries", {}).items()
-            if int(key) != pid
-        },
-        "byzantine": {
-            key: spec
-            for key, spec in plan_obj.get("byzantine", {}).items()
-            if int(key) != pid
-        },
-    }
-    if out["incorrect_inputs"] is not None:
-        out["incorrect_inputs"] = [
-            p for p in out["incorrect_inputs"] if p != pid
-        ]
-    return out
+    return FaultPlan(
+        faulty=plan.faulty - {pid},
+        crashes=_without(plan.crashes, pid),
+        incorrect_inputs=(
+            None
+            if plan.incorrect_inputs is None
+            else plan.incorrect_inputs - {pid}
+        ),
+        recoveries=_without(plan.recoveries, pid),
+        byzantine=_without(plan.byzantine, pid),
+    )
 
 
-def _with_crash(
-    plan_obj: dict[str, Any], pid: int, round_index: int, after_sends: int
-) -> dict[str, Any]:
-    out = {
-        "faulty": list(plan_obj["faulty"]),
-        "crashes": dict(plan_obj["crashes"]),
-        "incorrect_inputs": plan_obj.get("incorrect_inputs"),
-        "recoveries": dict(plan_obj.get("recoveries", {})),
-        "byzantine": dict(plan_obj.get("byzantine", {})),
-    }
-    out["crashes"][str(pid)] = [round_index, after_sends]
-    return out
-
-
-def _with_recoveries(
-    plan_obj: dict[str, Any], recoveries: dict[str, Any]
-) -> dict[str, Any]:
-    out = {
-        "faulty": list(plan_obj["faulty"]),
-        "crashes": dict(plan_obj["crashes"]),
-        "incorrect_inputs": plan_obj.get("incorrect_inputs"),
-        "recoveries": dict(recoveries),
-        "byzantine": dict(plan_obj.get("byzantine", {})),
-    }
-    return out
-
-
-def _with_byzantine(
-    plan_obj: dict[str, Any], byzantine: dict[str, Any]
-) -> dict[str, Any]:
-    out = {
-        "faulty": list(plan_obj["faulty"]),
-        "crashes": dict(plan_obj["crashes"]),
-        "incorrect_inputs": plan_obj.get("incorrect_inputs"),
-        "recoveries": dict(plan_obj.get("recoveries", {})),
-        "byzantine": dict(byzantine),
-    }
-    return out
+def _replaced(specs: dict[int, Any], pid: int, **changes) -> dict[int, Any]:
+    """``specs`` with ``changes`` applied to ``pid``'s entry."""
+    return {**specs, pid: replace(specs[pid], **changes)}
 
 
 def _halving_candidates(value: int) -> list[int]:
@@ -156,36 +114,21 @@ def shrink(
         raise ValueError("can only shrink a violating outcome")
     case = outcome.case
     kind = outcome.violation.kind
-    plan_obj: dict[str, Any] = {
-        "faulty": list(case.fault_plan["faulty"]),
-        "crashes": {
-            key: list(spec) for key, spec in case.fault_plan["crashes"].items()
-        },
-        "incorrect_inputs": case.fault_plan.get("incorrect_inputs"),
-        "recoveries": {
-            key: list(spec)
-            for key, spec in case.fault_plan.get("recoveries", {}).items()
-        },
-        "byzantine": {
-            key: dict(spec)
-            for key, spec in case.fault_plan.get("byzantine", {}).items()
-        },
-    }
+    plan = case.fault_plan
     schedule: Schedule = tuple(outcome.schedule)
-
-    state = {"runs": 0, "best": outcome}
+    runs = 0
+    progress = True
     reductions: list[str] = []
 
-    def note(text: str) -> None:
-        reductions.append(text)
-        if on_reduction is not None:
-            on_reduction(text)
+    def budget_left() -> bool:
+        return runs < max_runs
 
-    def attempt(candidate_plan: dict[str, Any], candidate_schedule: Schedule):
+    def attempt(candidate_plan: FaultPlan, candidate_schedule: Schedule):
         """One candidate execution; returns its outcome iff it violates."""
-        if state["runs"] >= max_runs:
+        nonlocal runs
+        if not budget_left():
             return None
-        state["runs"] += 1
+        runs += 1
         result = replay_case(case, candidate_plan, candidate_schedule)
         if (
             result.status == "violation"
@@ -195,164 +138,136 @@ def shrink(
             return result
         return None
 
+    def keep(
+        candidate_plan: FaultPlan, candidate_schedule: Schedule, text: str
+    ) -> bool:
+        """Adopt a candidate reduction iff it still shows the violation."""
+        nonlocal plan, schedule, best, progress
+        result = attempt(candidate_plan, candidate_schedule)
+        if result is None:
+            return False
+        plan, schedule = candidate_plan, candidate_schedule
+        best, progress = result, True
+        reductions.append(text)
+        if on_reduction is not None:
+            on_reduction(text)
+        return True
+
+    def lower(
+        value: int, floor: int, build: Callable[[int], FaultPlan], label: str
+    ) -> None:
+        """Walk one integer spec field down its halving ladder to ``floor``;
+        ``build(v)`` is the current plan with that field set to ``v``."""
+        while value > floor and budget_left():
+            for candidate in _halving_candidates(value):
+                if candidate >= floor and keep(
+                    build(candidate), schedule, f"{label} {value} -> {candidate}"
+                ):
+                    value = candidate
+                    break
+            else:
+                break
+
     # Sanity: the recorded schedule must reproduce the original violation.
     # (It always does — the recording *is* the execution — but a failed
     # replay here would mean a determinism bug, the worst kind; refuse to
     # "shrink" into a different bug.)
-    baseline = attempt(plan_obj, schedule)
+    baseline = attempt(plan, schedule)
     if baseline is None:
         return ShrinkResult(
             case=case,
-            plan_obj=plan_obj,
+            plan=plan,
             schedule=schedule,
             violation=outcome.violation,
             outcome=outcome,
-            runs=state["runs"],
+            runs=runs,
             minimal=False,
             reductions=["replay-mismatch: recorded schedule did not reproduce"],
         )
-    state["best"] = baseline
+    best = baseline
 
-    def budget_left() -> bool:
-        return state["runs"] < max_runs
-
-    progress = True
     while progress and budget_left():
         progress = False
 
         # Pass 1 — drop whole faulty processes.
-        for pid in sorted(plan_obj["faulty"]):
-            candidate = _drop_pid(plan_obj, pid)
-            result = attempt(candidate, schedule)
-            if result is not None:
-                plan_obj = candidate
-                state["best"] = result
-                note(f"dropped faulty process {pid}")
-                progress = True
+        for pid in sorted(plan.faulty):
+            keep(
+                _drop_pid(plan, pid), schedule, f"dropped faulty process {pid}"
+            )
 
         # Pass 1b — tame Byzantine adversaries: first demote a pid to
         # plain faulty (no engine at all; pass 1 may then drop it
         # entirely), then strip behaviors from multi-behavior specs so
         # the minimal case names the one lie that matters.
-        for key in sorted(plan_obj.get("byzantine", {})):
-            remaining = {
-                k: v for k, v in plan_obj["byzantine"].items() if k != key
-            }
-            candidate = _with_byzantine(plan_obj, remaining)
-            result = attempt(candidate, schedule)
-            if result is not None:
-                plan_obj = candidate
-                state["best"] = result
-                note(f"demoted Byzantine process {key} to plain faulty")
-                progress = True
-        for key in sorted(plan_obj.get("byzantine", {})):
-            spec = dict(plan_obj["byzantine"][key])
-            behaviors = list(spec["behaviors"])
+        for pid in sorted(plan.byzantine):
+            keep(
+                replace(plan, byzantine=_without(plan.byzantine, pid)),
+                schedule,
+                f"demoted Byzantine process {pid} to plain faulty",
+            )
+        for pid in sorted(plan.byzantine):
             changed = True
-            while len(behaviors) > 1 and changed and budget_left():
-                changed = False
-                for behavior in list(behaviors):
-                    slimmer = [b for b in behaviors if b != behavior]
-                    candidate = _with_byzantine(
-                        plan_obj,
-                        {
-                            **plan_obj["byzantine"],
-                            key: {**spec, "behaviors": slimmer},
-                        },
+            while (
+                len(plan.byzantine[pid].behaviors) > 1
+                and changed
+                and budget_left()
+            ):
+                behaviors = plan.byzantine[pid].behaviors
+                changed = any(
+                    keep(
+                        replace(
+                            plan,
+                            byzantine=_replaced(
+                                plan.byzantine,
+                                pid,
+                                behaviors=tuple(
+                                    b for b in behaviors if b != drop
+                                ),
+                            ),
+                        ),
+                        schedule,
+                        f"byzantine({pid}): dropped behavior {drop!r}",
                     )
-                    result = attempt(candidate, schedule)
-                    if result is not None:
-                        plan_obj = candidate
-                        spec = dict(plan_obj["byzantine"][key])
-                        behaviors = slimmer
-                        state["best"] = result
-                        note(f"byzantine({key}): dropped behavior {behavior!r}")
-                        changed = True
-                        progress = True
-                        break
+                    for drop in behaviors
+                )
 
         # Pass 2 — drop recoveries (crash-recover -> crash-stop), then
         # halve the recover_at delay of the recoveries that must stay.
-        for key in sorted(plan_obj.get("recoveries", {})):
-            remaining = {
-                k: v
-                for k, v in plan_obj["recoveries"].items()
-                if k != key
-            }
-            candidate = _with_recoveries(plan_obj, remaining)
-            result = attempt(candidate, schedule)
-            if result is not None:
-                plan_obj = candidate
-                state["best"] = result
-                note(f"dropped recovery of process {key}")
-                progress = True
-        for key in sorted(plan_obj.get("recoveries", {})):
-            recover_at, durability = plan_obj["recoveries"][key]
-            while recover_at > 1 and budget_left():
-                for cand_at in _halving_candidates(recover_at):
-                    if cand_at < 1:
-                        continue
-                    candidate = _with_recoveries(
-                        plan_obj,
-                        {
-                            **plan_obj["recoveries"],
-                            key: [cand_at, durability],
-                        },
-                    )
-                    result = attempt(candidate, schedule)
-                    if result is not None:
-                        plan_obj = candidate
-                        state["best"] = result
-                        note(
-                            f"recovery({key}): recover_at "
-                            f"{recover_at} -> {cand_at}"
-                        )
-                        recover_at = cand_at
-                        progress = True
-                        break
-                else:
-                    break
+        for pid in sorted(plan.recoveries):
+            keep(
+                replace(plan, recoveries=_without(plan.recoveries, pid)),
+                schedule,
+                f"dropped recovery of process {pid}",
+            )
+        for pid in sorted(plan.recoveries):
+            lower(
+                plan.recoveries[pid].recover_at,
+                1,
+                lambda at: replace(
+                    plan,
+                    recoveries=_replaced(plan.recoveries, pid, recover_at=at),
+                ),
+                f"recovery({pid}): recover_at",
+            )
 
         # Pass 3 — reduce crash specs (after_sends first, then round).
-        for key in sorted(plan_obj["crashes"]):
-            pid = int(key)
-            round_index, after_sends = plan_obj["crashes"][key]
-            while after_sends > 0 and budget_left():
-                for candidate_sends in _halving_candidates(after_sends):
-                    candidate = _with_crash(
-                        plan_obj, pid, round_index, candidate_sends
-                    )
-                    result = attempt(candidate, schedule)
-                    if result is not None:
-                        plan_obj = candidate
-                        state["best"] = result
-                        note(
-                            f"crash({pid}): after_sends "
-                            f"{after_sends} -> {candidate_sends}"
-                        )
-                        after_sends = candidate_sends
-                        progress = True
-                        break
-                else:
-                    break
-            while round_index > 0 and budget_left():
-                for candidate_round in _halving_candidates(round_index):
-                    candidate = _with_crash(
-                        plan_obj, pid, candidate_round, after_sends
-                    )
-                    result = attempt(candidate, schedule)
-                    if result is not None:
-                        plan_obj = candidate
-                        state["best"] = result
-                        note(
-                            f"crash({pid}): round "
-                            f"{round_index} -> {candidate_round}"
-                        )
-                        round_index = candidate_round
-                        progress = True
-                        break
-                else:
-                    break
+        for pid in sorted(plan.crashes):
+            lower(
+                plan.crashes[pid].after_sends,
+                0,
+                lambda k: replace(
+                    plan, crashes=_replaced(plan.crashes, pid, after_sends=k)
+                ),
+                f"crash({pid}): after_sends",
+            )
+            lower(
+                plan.crashes[pid].round_index,
+                0,
+                lambda r: replace(
+                    plan, crashes=_replaced(plan.crashes, pid, round_index=r)
+                ),
+                f"crash({pid}): round",
+            )
 
         # Pass 4 — ddmin the schedule (prefix removal is segment removal
         # at offset 0, so it is covered by the first iteration).
@@ -362,17 +277,14 @@ def shrink(
             offset = 0
             while offset < len(schedule) and budget_left():
                 candidate = schedule[:offset] + schedule[offset + segment:]
-                result = attempt(plan_obj, candidate)
-                if result is not None:
-                    note(
-                        f"schedule: removed decisions "
-                        f"[{offset}:{offset + segment}] "
-                        f"({len(schedule)} -> {len(candidate)})"
-                    )
-                    schedule = candidate
-                    state["best"] = result
+                if keep(
+                    plan,
+                    candidate,
+                    f"schedule: removed decisions "
+                    f"[{offset}:{offset + segment}] "
+                    f"({len(schedule)} -> {len(candidate)})",
+                ):
                     removed = True
-                    progress = True
                 else:
                     offset += segment
             if segment == 1 and not removed:
@@ -381,11 +293,11 @@ def shrink(
 
     return ShrinkResult(
         case=case,
-        plan_obj=plan_obj,
+        plan=plan,
         schedule=schedule,
-        violation=state["best"].violation,
-        outcome=state["best"],
-        runs=state["runs"],
+        violation=best.violation,
+        outcome=best,
+        runs=runs,
         minimal=not progress and budget_left(),
         reductions=reductions,
     )

@@ -39,6 +39,7 @@ import textwrap
 
 from .analysis.reporting import render_table
 from .analysis.serialization import dump_trace, load_trace
+from .chaos.generator import PROFILES
 from .core.invariants import check_all
 from .core.matrix import (
     check_claim1,
@@ -77,15 +78,6 @@ EXPERIMENT_INDEX = {
     "A1": "ablation: stable vector vs naive round-0 collection",
     "A2": "ablation: VC-reduction point selectors",
     "A3": "ablation: lockstep vs adversarial vs asyncio runtimes",
-}
-
-WORKLOADS = {
-    "gaussian": lambda n, d, seed: input_gen.gaussian_cluster(n, d, seed=seed),
-    "uniform": lambda n, d, seed: input_gen.uniform_box(n, d, seed=seed),
-    "collinear": lambda n, d, seed: input_gen.collinear(n, d, seed=seed),
-    "two-clusters": lambda n, d, seed: input_gen.two_clusters(n, d, seed=seed),
-    "simplex": lambda n, d, seed: input_gen.simplex_corners(n, d),
-    "identical": lambda n, d, seed: input_gen.identical(n, d),
 }
 
 
@@ -277,7 +269,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_consensus(args) -> int:
-    gen = WORKLOADS.get(args.workload)
+    gen = input_gen.WORKLOADS.get(args.workload)
     if gen is None:
         print(f"unknown workload {args.workload!r}", file=sys.stderr)
         return 2
@@ -561,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--eps", type=float, default=0.1)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
-        "--workload", default="gaussian", choices=sorted(WORKLOADS)
+        "--workload", default="gaussian", choices=sorted(input_gen.WORKLOADS)
     )
     p_run.add_argument(
         "--algorithm",
@@ -726,23 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--profile",
         default="legal",
-        choices=[
-            "legal",
-            "below-bound",
-            "beyond-bound",
-            "mixed",
-            "lossy",
-            "partition-heal",
-            "partition-forever",
-            "recovery-legal",
-            "recovery-amnesia",
-            "recovery-storm",
-            "byzantine-legal",
-            "byzantine-below-bound",
-            "byzantine-beyond-bound",
-            "byzantine-vs-crash",
-            "byzantine-mixed",
-        ],
+        choices=PROFILES,
         help="sampling profile: relative to the n >= (d+2)f+1 bound, "
         "over the link-fault space (lossy fabric + reliable transport), "
         "over crash-recover schedules (durable / amnesia / mixed), or "

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry.hausdorff import disagreement_diameter, hausdorff_distance
+from ..geometry.hausdorff import disagreement_diameter
 from ..geometry.intersection import optimal_polytope_iz
 from ..geometry.polytope import ConvexPolytope
 from ..geometry.tolerances import INVARIANT_TOL
@@ -227,7 +227,6 @@ class OptimalityReport:
     checked_states: int
     violations: list[tuple[int, int, float]] = field(default_factory=list)
     worst_excess: float = 0.0
-    final_gap: float | None = None
     #: States of Byzantine processes, counted but exempt, as in
     #: :class:`ValidityReport`: Lemma 6 is about correct processes.
     adversary_states: int = 0
@@ -239,11 +238,6 @@ class OptimalityReport:
 
 def check_optimality(trace: ExecutionTrace) -> OptimalityReport:
     """``I_Z subseteq h_i[t]`` for all live states (Lemma 6).
-
-    Also reports ``final_gap``: the largest directed Hausdorff distance
-    from a fault-free output to ``I_Z`` — how much *extra* region beyond
-    the guaranteed optimum the run retained (Theorem 3 allows any excess;
-    the guarantee is one-sided).
 
     Scope under crash-recovery: only the *current* incarnation's states
     are checked.  Lemma 6 is a statement about one protocol execution;
@@ -272,16 +266,11 @@ def check_optimality(trace: ExecutionTrace) -> OptimalityReport:
             if excess > INVARIANT_TOL:
                 violations.append((proc.pid, t, excess))
                 worst = max(worst, excess)
-    outputs = list(trace.fault_free_outputs().values())
-    final_gap = None
-    if outputs and not iz.is_empty:
-        final_gap = max(hausdorff_distance(out, iz) for out in outputs)
     return OptimalityReport(
         iz=iz,
         checked_states=checked,
         violations=violations,
         worst_excess=worst,
-        final_gap=final_gap,
         adversary_states=adversary,
     )
 
@@ -431,6 +420,10 @@ class StreamingInvariantChecker:
             t.pid: set() for t in self._traces
         }
         self._views: dict[int, frozenset] = {}
+        # The correct-input hull is fixed for the run, so a state's excess
+        # depends on its vertices alone: live processes record the same
+        # state again and again, and each distinct one is measured once.
+        self._excess_by_vertices: dict[tuple, float] = {}
         # Incarnation tracking: a restart (amnesia / late-join) clears a
         # trace's states and r_view, so the per-pid diffing state must be
         # reset too — the new incarnation is re-checked from scratch.
@@ -483,7 +476,12 @@ class StreamingInvariantChecker:
 
     def _check_state(self, pid: int, t: int, state: ConvexPolytope) -> None:
         self.states_checked += 1
-        excess = _excess(state.vertices, self._correct_hull)
+        vertices = state.vertices
+        key = (vertices.shape, vertices.tobytes())
+        excess = self._excess_by_vertices.get(key)
+        if excess is None:
+            excess = _excess(vertices, self._correct_hull)
+            self._excess_by_vertices[key] = excess
         if excess > INVARIANT_TOL:
             raise OnlineViolation(
                 "validity",

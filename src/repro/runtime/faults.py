@@ -330,6 +330,53 @@ class FaultPlan:
                 )
         return self
 
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "faulty": sorted(self.faulty),
+            "crashes": {
+                str(pid): [spec.round_index, spec.after_sends]
+                for pid, spec in self.crashes.items()
+            },
+            "incorrect_inputs": (
+                sorted(self.incorrect_inputs)
+                if self.incorrect_inputs is not None
+                else None
+            ),
+            "recoveries": {
+                str(pid): [spec.recover_at, spec.durability]
+                for pid, spec in self.recoveries.items()
+            },
+            "byzantine": {
+                str(pid): spec.to_json_dict()
+                for pid, spec in self.byzantine.items()
+            },
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
+        return cls(
+            faulty=frozenset(data["faulty"]),
+            crashes={
+                int(pid): CrashSpec(round_index=spec[0], after_sends=spec[1])
+                for pid, spec in data["crashes"].items()
+            },
+            incorrect_inputs=(
+                frozenset(data["incorrect_inputs"])
+                if data["incorrect_inputs"] is not None
+                else None
+            ),
+            # .get: pre-recovery archives have no "recoveries" key.
+            recoveries={
+                int(pid): RecoverySpec(recover_at=spec[0], durability=spec[1])
+                for pid, spec in data.get("recoveries", {}).items()
+            },
+            # .get: pre-Byzantine archives have no "byzantine" key.
+            byzantine={
+                int(pid): ByzantineSpec.from_json_dict(spec)
+                for pid, spec in data.get("byzantine", {}).items()
+            },
+        )
+
     @property
     def incorrect(self) -> frozenset[int]:
         """Processes whose inputs are incorrect (defaults to all faulty)."""

@@ -113,3 +113,16 @@ def two_clusters(
     points[:half] = center_a + spread * rng.standard_normal((half, d))
     points[half:] = center_b + spread * rng.standard_normal((n - half, d))
     return points
+
+
+#: Name -> ``(n, d, seed)`` -> inputs array, for the generators defined at
+#: every ``(n, d)``: the catalogue ``repro consensus --workload`` and the
+#: fuzzer's ``FuzzConfig.workloads`` choose from.
+WORKLOADS = {
+    "gaussian": lambda n, d, seed: gaussian_cluster(n, d, seed=seed),
+    "uniform": lambda n, d, seed: uniform_box(n, d, seed=seed),
+    "two-clusters": lambda n, d, seed: two_clusters(n, d, seed=seed),
+    "collinear": lambda n, d, seed: collinear(n, d, seed=seed),
+    "simplex": lambda n, d, seed: simplex_corners(n, d),
+    "identical": lambda n, d, seed: identical(n, d),
+}

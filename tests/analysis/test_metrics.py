@@ -44,6 +44,11 @@ class TestOutputSize:
         assert report.mean_ratio_vs_correct_hull <= 1.0 + 1e-9
         assert report.iz_measure >= 0.0
 
+    def test_final_gap_reported(self, starved_2d_run):
+        report = output_size_report(starved_2d_run.trace)
+        assert report.final_gap is not None
+        assert report.final_gap >= 0
+
     def test_diameters_present(self, benign_2d_run):
         report = output_size_report(benign_2d_run.trace)
         assert set(report.output_diameters) == set(

@@ -26,13 +26,12 @@ from repro.chaos.generator import (
     LABEL_BYZ_VS_CRASH,
     FuzzCase,
     FuzzConfig,
-    build_plan,
     generate_case,
 )
 from repro.chaos.runner import outcome_fingerprint, replay_case, run_case
-from repro.chaos.shrinker import _drop_pid, _with_byzantine, shrink
+from repro.chaos.shrinker import _drop_pid, shrink
 from repro.core.config import byzantine_required_processes, required_processes
-from repro.runtime.faults import BYZANTINE_BEHAVIORS
+from repro.runtime.faults import BYZANTINE_BEHAVIORS, ByzantineSpec, FaultPlan
 
 
 class TestSampling:
@@ -55,7 +54,7 @@ class TestSampling:
     def test_byzantine_counts_match_profile(self):
         for seed in range(8):
             legal = generate_case(FuzzConfig(profile=LABEL_BYZ_LEGAL), seed)
-            plan = build_plan(legal)
+            plan = legal.fault_plan
             assert 1 <= len(plan.byzantine) <= legal.f
             assert set(plan.byzantine) == set(plan.faulty)
             assert not plan.crashes
@@ -64,7 +63,7 @@ class TestSampling:
             assert legal.enforce_resilience
 
             beyond = generate_case(FuzzConfig(profile=LABEL_BYZ_BEYOND), seed)
-            assert len(build_plan(beyond).byzantine) == min(
+            assert len(beyond.fault_plan.byzantine) == min(
                 beyond.f + 1, beyond.n - 1
             )
             assert not beyond.enforce_resilience
@@ -82,13 +81,13 @@ class TestSampling:
             case = generate_case(FuzzConfig(profile=LABEL_BYZ_VS_CRASH), seed)
             assert case.algorithm == "cc"
             assert case.n >= required_processes(case.d, case.f)
-            assert len(build_plan(case).byzantine) <= case.f
+            assert len(case.fault_plan.byzantine) <= case.f
             assert case.enforce_resilience
 
     def test_behavior_specs_are_well_formed(self):
         for seed in range(12):
             case = generate_case(FuzzConfig(profile="byzantine-mixed"), seed)
-            for spec in build_plan(case).byzantine.values():
+            for spec in case.fault_plan.byzantine.values():
                 assert set(spec.behaviors) <= set(BYZANTINE_BEHAVIORS)
                 assert 0 < spec.rate <= 1.0
                 assert spec.magnitude > 0
@@ -99,7 +98,7 @@ class TestSampling:
         for profile in ("legal", "below-bound", "lossy", "recovery-legal"):
             for seed in range(6):
                 case = generate_case(FuzzConfig(profile=profile), seed)
-                assert not case.fault_plan.get("byzantine")
+                assert not case.fault_plan.byzantine
                 assert case.algorithm == "cc"
 
     def test_triage_labels(self):
@@ -173,7 +172,7 @@ class TestExecution:
                 case.f,
                 case.eps,
                 algorithm=case.algorithm,
-                fault_plan=build_plan(case),
+                fault_plan=case.fault_plan,
                 scheduler=build_scheduler(case),
                 seed=case.scheduler_seed,
                 input_bounds=bounds,
@@ -189,43 +188,24 @@ class TestExecution:
 
 class TestShrinkerThreading:
     def test_drop_pid_also_drops_its_byzantine_spec(self):
-        plan_obj = {
-            "faulty": [1, 4],
-            "crashes": {},
-            "incorrect_inputs": None,
-            "recoveries": {},
-            "byzantine": {
-                "1": {"behaviors": ["forge"], "rate": 1.0},
-                "4": {"behaviors": ["omit"], "rate": 0.5},
-            },
-        }
-        out = _drop_pid(plan_obj, 4)
-        assert out["faulty"] == [1]
-        assert out["byzantine"] == {"1": {"behaviors": ["forge"], "rate": 1.0}}
-
-    def test_with_byzantine_replaces_only_byzantine(self):
-        plan_obj = {
-            "faulty": [2],
-            "crashes": {},
-            "incorrect_inputs": None,
-            "recoveries": {},
-            "byzantine": {"2": {"behaviors": ["forge", "omit"]}},
-        }
-        out = _with_byzantine(plan_obj, {"2": {"behaviors": ["forge"]}})
-        assert out["byzantine"] == {"2": {"behaviors": ["forge"]}}
-        assert out["faulty"] == plan_obj["faulty"]
-        assert plan_obj["byzantine"] == {"2": {"behaviors": ["forge", "omit"]}}
+        forge = ByzantineSpec(behaviors=("forge",), rate=1.0)
+        plan = FaultPlan(
+            faulty=frozenset({1, 4}),
+            byzantine={1: forge, 4: ByzantineSpec(behaviors=("omit",), rate=0.5)},
+        )
+        out = _drop_pid(plan, 4)
+        assert out.faulty == {1}
+        assert out.byzantine == {1: forge}
+        assert set(plan.byzantine) == {1, 4}  # the input plan is untouched
 
     def test_shrunk_plan_objs_rebuild_as_fault_plans(self):
-        from repro.analysis.serialization import fault_plan_from_obj
-
+        # A shrunk plan reaches a bundle as JSON and comes back from it.
         case = generate_case(FuzzConfig(profile=LABEL_BYZ_BEYOND), 5)
-        plan_obj = dict(case.fault_plan)
-        rebuilt = fault_plan_from_obj(plan_obj)
-        assert rebuilt.byzantine
-        for pid in sorted(rebuilt.faulty):
-            reduced = fault_plan_from_obj(_drop_pid(plan_obj, pid))
+        assert case.fault_plan.byzantine
+        for pid in sorted(case.fault_plan.faulty):
+            reduced = _drop_pid(case.fault_plan, pid)
             assert pid not in reduced.byzantine
+            assert FaultPlan.from_json_dict(reduced.to_json_dict()) == reduced
 
     def test_shrink_demotes_and_strips_behaviors(self):
         # Pass 1b end to end: on a vs-crash counterexample the shrinker
@@ -240,7 +220,7 @@ class TestShrinkerThreading:
         assert found is not None
         _outcome, shrunk, _ = found
         assert shrunk is not None
-        final_byz = shrunk.plan_obj.get("byzantine", {})
+        final_byz = shrunk.plan.byzantine
         assert final_byz, "shrinker demoted every Byzantine process"
         for spec in final_byz.values():
-            assert len(spec["behaviors"]) >= 1
+            assert len(spec.behaviors) >= 1

@@ -12,12 +12,12 @@ from repro.chaos import (
     FuzzCase,
     FuzzConfig,
     build_inputs,
-    build_plan,
     build_scheduler,
     generate_case,
 )
 from repro.core.config import required_processes
 from repro.runtime.scheduler import Scheduler
+from repro.workloads.inputs import WORKLOADS
 
 
 class TestDeterminism:
@@ -52,11 +52,6 @@ class TestJsonRoundTrip:
             wire = json.loads(json.dumps(case.to_json_dict()))
             assert FuzzCase.from_json_dict(wire) == case
 
-    def test_config_round_trip(self):
-        config = FuzzConfig(profile=LABEL_BEYOND, d_choices=(2,), f_choices=(1, 2))
-        wire = json.loads(json.dumps(config.to_json_dict()))
-        assert FuzzConfig.from_json_dict(wire) == config
-
 
 class TestProfiles:
     def test_legal_cases_respect_bound(self):
@@ -65,7 +60,7 @@ class TestProfiles:
             case = generate_case(config, seed)
             assert case.label == LABEL_LEGAL
             assert case.n >= required_processes(case.d, case.f)
-            assert len(case.fault_plan["faulty"]) <= case.f
+            assert len(case.fault_plan.faulty) <= case.f
             assert case.enforce_resilience
 
     def test_below_bound_cases_sit_one_below(self):
@@ -76,15 +71,15 @@ class TestProfiles:
             assert not case.enforce_resilience
             # The probe must actually stress the boundary: at least one
             # crash whenever any process is faulty.
-            if case.fault_plan["faulty"]:
-                assert case.fault_plan["crashes"]
+            if case.fault_plan.faulty:
+                assert case.fault_plan.crashes
 
     def test_beyond_bound_cases_exceed_f(self):
         config = FuzzConfig(profile=LABEL_BEYOND)
         for seed in range(25):
             case = generate_case(config, seed)
             assert case.n >= required_processes(case.d, case.f)
-            assert len(case.fault_plan["faulty"]) == min(case.f + 1, case.n - 1)
+            assert len(case.fault_plan.faulty) == min(case.f + 1, case.n - 1)
 
     def test_mixed_profile_emits_all_labels(self):
         config = FuzzConfig(profile="mixed")
@@ -101,6 +96,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="workload"):
             FuzzConfig(workloads=("gaussian", "nope"))
 
+    def test_every_registered_workload_builds(self):
+        # The fuzzer reads the same registry as ``repro consensus
+        # --workload``, ``identical`` included.
+        config = FuzzConfig(workloads=tuple(WORKLOADS))
+        for seed in range(12):
+            case = generate_case(config, seed)
+            points, _bounds = build_inputs(case)
+            assert points.shape == (case.n, case.d)
+
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="scheduler"):
             FuzzConfig(schedulers=("random", "nope"))
@@ -109,7 +113,7 @@ class TestValidation:
         config = FuzzConfig(profile="mixed")
         for seed in range(10):
             case = generate_case(config, seed)
-            plan = build_plan(case)
+            plan = case.fault_plan.validate(case.n)
             assert set(plan.crashes) <= set(plan.faulty)
             assert all(0 <= pid < case.n for pid in plan.faulty)
 

@@ -17,7 +17,6 @@ from repro.chaos import (
     EXPECTED_VIOLATION_LABELS,
     FuzzCase,
     FuzzConfig,
-    build_link_plan,
     generate_case,
     make_bundle,
     outcome_fingerprint,
@@ -42,8 +41,7 @@ class TestGenerator:
         for seed in range(10):
             case = generate_case(FuzzConfig(profile=profile), seed)
             assert case.label == profile
-            assert case.link_faults is not None
-            plan = build_link_plan(case)
+            plan = case.link_faults
             assert plan is not None and plan.faulty
             # The process side stays at or above the Theorem 2 bound.
             assert case.n >= required_processes(case.d, case.f)
@@ -52,7 +50,7 @@ class TestGenerator:
     def test_lossy_rates_within_contract(self):
         for seed in range(20):
             case = generate_case(FuzzConfig(profile=LABEL_LOSSY), seed)
-            plan = build_link_plan(case)
+            plan = case.link_faults
             specs = [plan.default, *plan.links.values()]
             assert all(s.loss <= 0.3 and s.dup <= 0.2 for s in specs)
 
@@ -61,14 +59,14 @@ class TestGenerator:
             case = generate_case(
                 FuzzConfig(profile=LABEL_PARTITION_FOREVER), seed
             )
-            plan = build_link_plan(case)
+            plan = case.link_faults
             assert plan.links  # a cut exists
             assert all(
                 heal is None
                 for spec in plan.links.values()
                 for (_start, heal) in spec.partitions
             )
-            assert case.fault_plan.get("faulty", []) == []
+            assert not case.fault_plan.faulty
 
     def test_case_json_roundtrip_with_link_faults(self):
         case = generate_case(FuzzConfig(profile=LABEL_LOSSY), 3)
@@ -76,7 +74,7 @@ class TestGenerator:
             json.loads(json.dumps(case.to_json_dict()))
         )
         assert rebuilt == case
-        assert build_link_plan(rebuilt) == build_link_plan(case)
+        assert rebuilt.link_faults == case.link_faults
 
     def test_legacy_case_json_still_loads(self):
         # Pre-transport bundles have no link_faults/reliable_transport keys.

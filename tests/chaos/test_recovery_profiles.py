@@ -9,13 +9,19 @@ from repro.chaos.generator import (
     LABEL_RECOVERY_STORM,
     RECOVERY_LABELS,
     FuzzConfig,
-    build_plan,
     generate_case,
 )
 from repro.chaos.runner import outcome_fingerprint, replay_case, run_case
-from repro.chaos.shrinker import _drop_pid, _with_recoveries
+from repro.chaos.shrinker import _drop_pid
 from repro.core.config import required_processes
-from repro.runtime.faults import AMNESIA, DURABLE, DURABILITY_MODES
+from repro.runtime.faults import (
+    AMNESIA,
+    DURABLE,
+    DURABILITY_MODES,
+    CrashSpec,
+    FaultPlan,
+    RecoverySpec,
+)
 
 
 class TestSampling:
@@ -28,7 +34,7 @@ class TestSampling:
             config = FuzzConfig(profile=profile)
             for seed in range(8):
                 case = generate_case(config, seed)
-                plan = build_plan(case)
+                plan = case.fault_plan
                 assert set(plan.crashes) == set(plan.faulty), (profile, seed)
                 assert set(plan.recoveries) == set(plan.faulty), (profile, seed)
                 for spec in plan.recoveries.values():
@@ -37,15 +43,15 @@ class TestSampling:
 
     def test_durability_matches_profile(self):
         for seed in range(8):
-            legal = build_plan(
-                generate_case(FuzzConfig(profile=LABEL_RECOVERY_LEGAL), seed)
-            )
+            legal = generate_case(
+                FuzzConfig(profile=LABEL_RECOVERY_LEGAL), seed
+            ).fault_plan
             assert all(
                 s.durability == DURABLE for s in legal.recoveries.values()
             )
-            amnesia = build_plan(
-                generate_case(FuzzConfig(profile=LABEL_RECOVERY_AMNESIA), seed)
-            )
+            amnesia = generate_case(
+                FuzzConfig(profile=LABEL_RECOVERY_AMNESIA), seed
+            ).fault_plan
             assert all(
                 s.durability == AMNESIA for s in amnesia.recoveries.values()
             )
@@ -64,7 +70,7 @@ class TestSampling:
         for profile in ("legal", "below-bound", "beyond-bound", "lossy"):
             for seed in range(6):
                 case = generate_case(FuzzConfig(profile=profile), seed)
-                assert not case.fault_plan.get("recoveries")
+                assert not case.fault_plan.recoveries
 
     def test_triage_labels(self):
         assert LABEL_RECOVERY_LEGAL not in EXPECTED_VIOLATION_LABELS
@@ -104,7 +110,7 @@ class TestExecution:
                 inputs,
                 case.f,
                 case.eps,
-                fault_plan=build_plan(case),
+                fault_plan=case.fault_plan,
                 scheduler=build_scheduler(case),
                 seed=case.scheduler_seed,
                 input_bounds=bounds,
@@ -120,36 +126,25 @@ class TestExecution:
 
 class TestShrinkerThreading:
     def test_drop_pid_also_drops_its_recovery(self):
-        plan_obj = {
-            "faulty": [1, 4],
-            "crashes": {"1": [0, 0], "4": [1, 2]},
-            "incorrect_inputs": None,
-            "recoveries": {"1": [5, "durable"], "4": [9, "amnesia"]},
-        }
-        out = _drop_pid(plan_obj, 4)
-        assert out["faulty"] == [1]
-        assert out["crashes"] == {"1": [0, 0]}
-        assert out["recoveries"] == {"1": [5, "durable"]}
-
-    def test_with_recoveries_replaces_only_recoveries(self):
-        plan_obj = {
-            "faulty": [4],
-            "crashes": {"4": [1, 2]},
-            "incorrect_inputs": None,
-            "recoveries": {"4": [9, "amnesia"]},
-        }
-        out = _with_recoveries(plan_obj, {})
-        assert out["recoveries"] == {}
-        assert out["crashes"] == plan_obj["crashes"]
+        plan = FaultPlan(
+            faulty=frozenset({1, 4}),
+            crashes={1: CrashSpec(0, 0), 4: CrashSpec(1, 2)},
+            recoveries={
+                1: RecoverySpec(5, DURABLE), 4: RecoverySpec(9, AMNESIA)
+            },
+        )
+        out = _drop_pid(plan, 4)
+        assert out.faulty == {1}
+        assert out.crashes == {1: CrashSpec(0, 0)}
+        assert out.recoveries == {1: RecoverySpec(5, DURABLE)}
+        assert set(plan.recoveries) == {1, 4}  # the input plan is untouched
 
     def test_shrunk_plan_objs_rebuild_as_fault_plans(self):
-        from repro.analysis.serialization import fault_plan_from_obj
-
+        # A shrunk plan reaches a bundle as JSON and comes back from it.
         case = generate_case(FuzzConfig(profile=LABEL_RECOVERY_STORM), 5)
-        plan_obj = dict(case.fault_plan)
-        rebuilt = fault_plan_from_obj(plan_obj)
-        assert rebuilt.recoveries
-        for pid in sorted(rebuilt.faulty):
-            reduced = fault_plan_from_obj(_drop_pid(plan_obj, pid))
+        assert case.fault_plan.recoveries
+        for pid in sorted(case.fault_plan.faulty):
+            reduced = _drop_pid(case.fault_plan, pid)
             assert pid not in reduced.recoveries
+            assert FaultPlan.from_json_dict(reduced.to_json_dict()) == reduced
             reduced.validate(case.n)

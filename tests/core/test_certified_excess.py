@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import FuzzConfig, generate_case
-from repro.chaos.generator import build_inputs, build_link_plan, build_plan, build_scheduler
+from repro.chaos.generator import build_inputs, build_scheduler
 from repro.core import invariants
 from repro.core.invariants import check_optimality, check_validity
 from repro.core.runner import run_convex_hull_consensus
@@ -111,12 +111,12 @@ class TestRealRuns:
                 inputs,
                 case.f,
                 case.eps,
-                fault_plan=build_plan(case),
+                fault_plan=case.fault_plan.validate(case.n),
                 scheduler=build_scheduler(case),
                 seed=case.scheduler_seed,
                 input_bounds=bounds,
                 enforce_resilience=case.enforce_resilience,
-                link_faults=build_link_plan(case),
+                link_faults=case.link_faults,
                 algorithm=case.algorithm,
             )
             validity = _assert_reports_match(_first_rounds(result.trace, 1))

@@ -40,12 +40,6 @@ class TestOnRealRuns:
         assert report.eps == benign_1d_run.config.eps
         assert report.disagreement < report.eps
 
-    def test_optimality_final_gap_reported(self, starved_2d_run):
-        report = check_optimality(starved_2d_run.trace)
-        assert report.ok
-        assert report.final_gap is not None
-        assert report.final_gap >= 0
-
     def test_stable_vector_views(self, round0_crash_run):
         report = check_stable_vector(round0_crash_run.trace)
         assert report.ok

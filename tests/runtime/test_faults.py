@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.faults import CrashSpec, FaultPlan
+from repro.runtime.faults import CrashSpec, FaultPlan, RecoverySpec
 
 
 class TestCrashSpec:
@@ -61,3 +61,29 @@ class TestFaultPlan:
             incorrect_inputs=frozenset(),
         )
         assert plan.incorrect == frozenset()
+
+
+class TestFaultPlanJson:
+    def test_round_trip(self):
+        plan = FaultPlan(
+            faulty=frozenset({1, 4}),
+            crashes={1: CrashSpec(0, 3), 4: CrashSpec(2, 0)},
+            incorrect_inputs=frozenset({4}),
+            recoveries={4: RecoverySpec(7, "amnesia")},
+        )
+        assert FaultPlan.from_json_dict(plan.to_json_dict()) == plan
+
+    def test_archive_without_recoveries_or_byzantine_loads(self):
+        # The plan format written before the crash-recovery and Byzantine
+        # extensions: neither key is present.
+        plan = FaultPlan.from_json_dict(
+            {
+                "faulty": [2, 5],
+                "crashes": {"5": [1, 4]},
+                "incorrect_inputs": None,
+            }
+        )
+        assert plan == FaultPlan(
+            faulty=frozenset({2, 5}), crashes={5: CrashSpec(1, 4)}
+        )
+        assert plan.recoveries == {} and plan.byzantine == {}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chaos import PROFILES
 from repro.cli import EXPERIMENT_INDEX, build_parser, main
 
 
@@ -42,6 +43,16 @@ class TestParser:
             build_parser().parse_args(
                 ["consensus", "--durability", "forgetful"]
             )
+
+    def test_every_fuzz_profile_parses(self):
+        for profile in PROFILES:
+            args = build_parser().parse_args(["fuzz", "--profile", profile])
+            assert args.profile == profile
+
+    def test_unknown_fuzz_profile_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fuzz", "--profile", "chaotic-evil"])
+        assert exc.value.code == 2
 
 
 class TestCommands:
