@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.invariants import has_views
 from ..geometry.hausdorff import disagreement_diameter, hausdorff_distance
 from ..geometry.intersection import optimal_polytope_iz
 from ..geometry.polytope import ConvexPolytope
@@ -51,6 +52,17 @@ class ConvergenceSeries:
         return None
 
 
+def _states_at(trace: ExecutionTrace, t: int) -> list[ConvexPolytope]:
+    """The states recorded at round ``t``, in process order."""
+    return [proc.states[t] for proc in trace.processes if t in proc.states]
+
+
+def _measured_rounds(trace: ExecutionTrace) -> list[int]:
+    """The rounds the disagreement series measures: those with at least
+    two recorded states."""
+    return [t for t in range(trace.t_end + 1) if len(_states_at(trace, t)) >= 2]
+
+
 def convergence_series(trace: ExecutionTrace) -> ConvergenceSeries:
     """Disagreement ``max_{i,j} d_H(h_i[t], h_j[t])`` per round vs Eq. (18).
 
@@ -63,24 +75,31 @@ def convergence_series(trace: ExecutionTrace) -> ConvergenceSeries:
     gamma = 1.0 - 1.0 / trace.n
     # The envelope's Omega uses the actual h_k[0] (the paper's definition);
     # take the coarse input-bound version used by t_end for comparability.
-    rounds: list[int] = []
-    disagreement: list[float] = []
-    envelope: list[float] = []
     omega = _omega_from_trace(trace)
-    for t in range(trace.t_end + 1):
-        polys = [
-            proc.states[t]
-            for proc in trace.processes
-            if t in proc.states
-        ]
-        if len(polys) < 2:
-            continue
-        rounds.append(t)
-        disagreement.append(disagreement_diameter(polys))
-        envelope.append(gamma**t * omega)
+    rounds = _measured_rounds(trace)
     return ConvergenceSeries(
-        rounds=rounds, disagreement=disagreement, envelope=envelope
+        rounds=rounds,
+        disagreement=[
+            disagreement_diameter(_states_at(trace, t)) for t in rounds
+        ],
+        envelope=[gamma**t * omega for t in rounds],
     )
+
+
+def disagreement_endpoints(trace: ExecutionTrace) -> tuple[float, float]:
+    """The first and last entries of ``convergence_series(trace).disagreement``.
+
+    Measures only those two rounds (once when they coincide), so a sweep
+    row does not pay for the middle of the series; ``(0.0, 0.0)`` when no
+    round has two recorded states.
+    """
+    rounds = _measured_rounds(trace)
+    if not rounds:
+        return 0.0, 0.0
+    first = disagreement_diameter(_states_at(trace, rounds[0]))
+    if rounds[-1] == rounds[0]:
+        return first, first
+    return first, disagreement_diameter(_states_at(trace, rounds[-1]))
 
 
 def _omega_from_trace(trace: ExecutionTrace) -> float:
@@ -116,26 +135,37 @@ class OutputSizeReport:
     #: The largest Hausdorff distance from a fault-free output to ``I_Z``:
     #: how much *extra* region beyond the guaranteed optimum the run
     #: retained (Theorem 3 allows any excess; the guarantee is
-    #: one-sided).  None without outputs or with an empty ``I_Z``.
+    #: one-sided).  None without outputs, with an empty ``I_Z`` or
+    #: without ``I_Z``.
     final_gap: float | None
 
 
 def output_size_report(trace: ExecutionTrace) -> OutputSizeReport:
-    """Measures of decided polytopes vs ``I_Z`` and the correct-input hull."""
-    iz = optimal_polytope_iz(trace.common_view_points(), trace.f)
+    """Measures of decided polytopes vs ``I_Z`` and the correct-input hull.
+
+    ``I_Z`` needs a stable-vector view, which the Byzantine sibling never
+    forms; without one (the rule of :func:`~repro.core.invariants.has_views`)
+    ``iz_measure`` and ``min_ratio_vs_iz`` are NaN and ``final_gap`` is
+    None, and the outputs are still measured.
+    """
+    iz = None
+    if has_views(trace):
+        iz = optimal_polytope_iz(trace.common_view_points(), trace.f)
     correct_hull = ConvexPolytope.from_points(trace.correct_inputs)
     outputs = trace.fault_free_outputs()
     measures = {pid: polytope_measure(poly) for pid, poly in outputs.items()}
     diameters = {pid: poly.diameter for pid, poly in outputs.items()}
-    ratios_iz = [volume_ratio(poly, iz) for poly in outputs.values()]
+    ratios_iz = []
+    if iz is not None:
+        ratios_iz = [volume_ratio(poly, iz) for poly in outputs.values()]
     ratios_hull = [
         volume_ratio(poly, correct_hull) for poly in outputs.values()
     ]
     final_gap = None
-    if outputs and not iz.is_empty:
+    if outputs and iz is not None and not iz.is_empty:
         final_gap = max(hausdorff_distance(out, iz) for out in outputs.values())
     return OutputSizeReport(
-        iz_measure=polytope_measure(iz),
+        iz_measure=float("nan") if iz is None else polytope_measure(iz),
         output_measures=measures,
         correct_hull_measure=polytope_measure(correct_hull),
         min_ratio_vs_iz=min(ratios_iz) if ratios_iz else float("nan"),

@@ -56,9 +56,10 @@ import numpy as np
 
 from ..core.invariants import FullReport, check_all
 from ..core.runner import CCResult
+from ..geometry.volume import polytope_measure
 from ..workloads.scenarios import ScenarioSpec
 from .engine import EngineReport, TaskResult, TaskSpec, run_grid, task_key
-from .metrics import convergence_series, output_size_report
+from .metrics import disagreement_endpoints
 
 STATUS_OK = "ok"
 STATUS_VIOLATION = "violation"
@@ -200,27 +201,26 @@ def row_from_result(
 
     ``check`` defaults to :func:`repro.core.invariants.check_all` on the
     result's trace; pass a custom callable to aggregate different
-    predicates (e.g. matrix checks).  All fields are cast to plain
-    Python scalars so rows survive a JSON checkpoint round-trip
-    unchanged.
+    predicates (e.g. matrix checks).  The two disagreement fields are
+    the first and last entries of the convergence series, measured
+    alone by :func:`~repro.analysis.metrics.disagreement_endpoints`.
+    All fields are cast to plain Python scalars so rows survive a JSON
+    checkpoint round-trip unchanged.
     """
-    report = check(result) if check is not None else check_all(result.trace)
-    series = convergence_series(result.trace)
-    sizes = output_size_report(result.trace)
+    trace = result.trace
+    report = check(result) if check is not None else check_all(trace)
+    first, last = disagreement_endpoints(trace)
+    outputs = trace.fault_free_outputs().values()
     ok = bool(report.ok)
     return SweepRow(
         seed=int(seed),
         properties_ok=ok,
         status=STATUS_OK if ok else STATUS_VIOLATION,
-        disagreement_round0=(
-            float(series.disagreement[0]) if series.disagreement else 0.0
-        ),
-        final_disagreement=(
-            float(series.disagreement[-1]) if series.disagreement else 0.0
-        ),
-        messages=int(result.trace.messages_sent),
+        disagreement_round0=float(first),
+        final_disagreement=float(last),
+        messages=int(trace.messages_sent),
         min_output_measure=float(
-            min(sizes.output_measures.values(), default=0.0)
+            min(map(polytope_measure, outputs), default=0.0)
         ),
         decided=len(result.report.decided),
         crashed=len(result.report.crashed),
