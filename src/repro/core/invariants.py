@@ -38,6 +38,14 @@ def _excess(points, target: ConvexPolytope) -> float:
     correct-input hull), Lemma 6 (``I_Z`` vertices against a state) and
     the streaming validity check.
 
+    In d = 1 the target is an interval ``[lo, hi]`` and every point is
+    measured by one vectorised exact clamp: the largest of ``lo - x`` and
+    ``x - hi`` over the points, floored at 0.0.  That is bit for bit the
+    largest distance the per-point projection (the exact 1-d clamp of
+    :func:`~repro.geometry.projection.project_onto_hull`) gives, without
+    a call per point; a non-finite point raises ``ValueError`` as the
+    projection does.
+
     In d >= 2 only the points the target's cached H-rep cannot certify
     are projected; the violations of all of them come from one matrix
     product (:meth:`ConvexPolytope.violation`).  Why that is sound:
@@ -56,14 +64,20 @@ def _excess(points, target: ConvexPolytope) -> float:
 
     The uncertified rows are selected as ``not (v <= 0)``: a non-finite
     point has a NaN or infinite violation and is projected, which raises
-    ``ValueError``.  d = 1 keeps the exact clamp, which is cheaper than
-    building an H-rep for every state.
+    ``ValueError``.
     """
     points = np.asarray(points, dtype=float)
-    if target.dim >= 2 and len(points):
-        with np.errstate(invalid="ignore"):
-            violation = target.violation(points)
-        points = points[~(violation <= 0.0)]
+    if not len(points):
+        return 0.0
+    if target.dim == 1:
+        x = points[:, 0]
+        if not np.isfinite(x).all():
+            raise ValueError("points must be finite (no NaN/inf)")
+        lo, hi = target.bounding_box
+        return max(0.0, float(np.maximum(lo[0] - x, x - hi[0]).max()))
+    with np.errstate(invalid="ignore"):
+        violation = target.violation(points)
+    points = points[~(violation <= 0.0)]
     return max((target.distance_to_point(p) for p in points), default=0.0)
 
 

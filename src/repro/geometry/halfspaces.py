@@ -20,20 +20,12 @@ of Eq. (21).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cache import PERF
 from .errors import HullComputationError, InfeasibleRegionError, SolverError
 from .hull import hull_vertices
 from .linalg import AffineChart, affine_chart, as_points_array
 from .tolerances import ABS_TOL, DEGENERACY_TOL, RANK_TOL
-
-try:
-    from scipy.spatial import HalfspaceIntersection as _HalfspaceIntersection
-    from scipy.spatial import QhullError as _QhullError
-except ImportError:  # pragma: no cover
-    _HalfspaceIntersection = None
-    _QhullError = Exception
 
 
 # ----------------------------------------------------------------------
@@ -47,11 +39,11 @@ def _hrep_full_dim(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``normal . x + offset <= 0`` inside, i.e. ``A = normals``,
     ``b = -offsets``.
     """
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = ConvexHull(vertices)
-    except _QhullError as exc:
+    except QhullError as exc:
         raise HullComputationError(f"Qhull H-rep failed: {exc}") from exc
     eqs = hull.equations
     return eqs[:, :-1].copy(), -eqs[:, -1].copy()
@@ -211,6 +203,8 @@ def chebyshev_center(
     constraint violations up to 1e-7 by default; ``tight=True`` solves at
     its tightest tolerances (:data:`_TIGHT_HIGHS`) instead.
     """
+    from scipy.optimize import linprog
+
     if a.shape[0] == 0:
         raise ValueError("chebyshev_center requires at least one halfspace")
     dim = a.shape[1]
@@ -250,6 +244,8 @@ def linear_maximize(
 
     Returns ``(argmax, max_value)``.  Raises on infeasible/unbounded.
     """
+    from scipy.optimize import linprog
+
     PERF.lp_solves += 1
     res = linprog(
         -np.asarray(direction, dtype=float),
@@ -460,8 +456,8 @@ def _vertices_full_dim(
         if ring.shape[0] == 0:
             return np.zeros((0, 2))
         return hull_vertices(ring)
-    if _HalfspaceIntersection is None:  # pragma: no cover
-        raise SolverError("scipy is required for halfspace intersection")
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
     if _certified_radius(a, b, interior) <= 0.0:
         # Qhull rejects a point on the boundary, and the loose Chebyshev LP
         # can stop there, short of the optimum, on a sliver thinner than
@@ -475,8 +471,8 @@ def _vertices_full_dim(
             return interior.reshape(1, -1)
     stacked = np.hstack([a, -b[:, None]])
     try:
-        hs = _HalfspaceIntersection(stacked, interior)
-    except _QhullError as exc:
+        hs = HalfspaceIntersection(stacked, interior)
+    except QhullError as exc:
         raise HullComputationError(
             f"halfspace intersection failed despite interior point: {exc}"
         ) from exc

@@ -25,13 +25,6 @@ from .errors import HullComputationError
 from .linalg import affine_chart, as_points_array, deduplicate_points
 from .tolerances import ABS_TOL, RANK_TOL
 
-try:  # scipy is a hard dependency of the package, but keep the import local
-    from scipy.spatial import ConvexHull as _ScipyConvexHull
-    from scipy.spatial import QhullError as _QhullError
-except ImportError:  # pragma: no cover - scipy is always present in CI
-    _ScipyConvexHull = None
-    _QhullError = Exception
-
 
 def hull_vertices_1d(points: np.ndarray) -> np.ndarray:
     """Extreme points of a 1-d point set: its min and max (or single point)."""
@@ -128,11 +121,11 @@ def hull_vertices_2d(points: np.ndarray) -> np.ndarray:
 
 def _hull_vertices_qhull(points: np.ndarray) -> np.ndarray:
     """Full-dimensional hull via Qhull; raises on degenerate input."""
-    if _ScipyConvexHull is None:  # pragma: no cover
-        raise HullComputationError("scipy is required for hulls in dimension >= 3")
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
-        hull = _ScipyConvexHull(points)
-    except _QhullError as exc:
+        hull = ConvexHull(points)
+    except QhullError as exc:
         raise HullComputationError(f"Qhull failed: {exc}") from exc
     return points[hull.vertices]
 

@@ -22,7 +22,6 @@ Provided here:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .linalg import as_points_array
 from .tolerances import ABS_TOL
@@ -85,6 +84,8 @@ def common_point_of_hulls(vertex_sets: list[np.ndarray]) -> np.ndarray | None:
     ``sum_i lambda^j_i = 1`` and all parts' mixtures equal.  The common
     point is the shared mixture value.
     """
+    from scipy.optimize import linprog
+
     if not vertex_sets:
         raise ValueError("need at least one hull")
     sets = [as_points_array(v) for v in vertex_sets]

@@ -12,13 +12,6 @@ from __future__ import annotations
 from .errors import HullComputationError
 from .polytope import ConvexPolytope
 
-try:
-    from scipy.spatial import ConvexHull as _ScipyConvexHull
-    from scipy.spatial import QhullError as _QhullError
-except ImportError:  # pragma: no cover
-    _ScipyConvexHull = None
-    _QhullError = Exception
-
 
 def polytope_volume(poly: ConvexPolytope) -> float:
     """d-dimensional Lebesgue volume; 0 for empty or lower-dimensional sets."""
@@ -29,11 +22,11 @@ def polytope_volume(poly: ConvexPolytope) -> float:
     if poly.dim == 1:
         lo, hi = poly.interval()
         return hi - lo
-    if _ScipyConvexHull is None:  # pragma: no cover
-        raise HullComputationError("scipy required for volume in dim >= 2")
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
-        return float(_ScipyConvexHull(poly.vertices).volume)
-    except _QhullError as exc:
+        return float(ConvexHull(poly.vertices).volume)
+    except QhullError as exc:
         raise HullComputationError(f"volume computation failed: {exc}") from exc
 
 

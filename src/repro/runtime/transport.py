@@ -44,20 +44,24 @@ instead of hanging, the run aborts with :class:`TransportBudgetError`
 clock exceeds the delivery budget — exponential backoff reaches any
 budget in logarithmically many retries, so the abort is prompt.
 
-Cost per fabric frame: each link's spec is resolved once, when the
-fabric is built; :meth:`LossyFabric.ready_frames` walks one list of the
-links that have carried a frame, kept sorted by ``(src, dst)``, and
-checks partition windows only on links that have any; retransmission
-timers sit in a heap of ``(next_retry, link_rank, seq, link)`` that
-:meth:`TransportNetwork.pump` pops and fires in ``(link_rank, seq)``
-order: the order links first carried a reliable frame, then sequence
-number.  That order is load-bearing: each retransmission moves
-``in_flight``, which the next timeout reads.  A ready set maintained
-incrementally, as :meth:`~repro.runtime.network.Network.ready_view` does
-for the structural network, was prototyped against the sorted scan and
-did not pay at n=8 (3.19-3.50 against 3.30-3.38 ``lossy-1d`` cases/s,
-2-CPU VM), so the scan stays.  ``tests/oracles/transport.py`` keeps the
-full scans both orders must match.
+Cost per fabric frame: whether each link rolls faults and whether it
+has partition windows is resolved once, when the fabric is built.
+:meth:`LossyFabric.ready_frames` walks one list of the links whose queue
+holds a frame, kept sorted by ``(src, dst)``: a link joins it when its
+queue fills and leaves it when its queue empties, and partition windows
+are checked only on links that have any.  Readiness is still tested on
+every step; a ready set maintained incrementally, as
+:meth:`~repro.runtime.network.Network.ready_view` does for the
+structural network, was prototyped and did not pay at n=8.  Frames are
+slotted and copied by one constructor call (:meth:`Frame.copy`).
+Retransmission timers sit in a heap of ``(next_retry, link_rank, seq,
+link)``; :meth:`TransportNetwork.pump` returns at once while the earliest
+deadline lies ahead, as it does after most frames, and otherwise pops and
+fires the due timers in ``(link_rank, seq)`` order: the order links
+first carried a reliable frame, then sequence number.  That order is
+load-bearing: each retransmission moves ``in_flight``, which the next
+timeout reads.  ``tests/oracles/transport.py`` keeps the full scans both
+orders must match.
 """
 
 from __future__ import annotations
@@ -65,9 +69,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Callable
 
@@ -116,7 +120,7 @@ class TransportBudgetError(SimulationError):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One transport-layer datagram in flight on a directed link.
 
@@ -142,6 +146,21 @@ class Frame:
     #: transport processing, so a damaged frame is dropped and recovered
     #: by retransmission instead of reaching the application.
     checksum: int | None = field(default=None, compare=False)
+
+    def copy(self, attempt: int | None = None) -> Frame:
+        """A field-by-field copy, with ``attempt`` replaced when given."""
+        return Frame(
+            self.kind,
+            self.src,
+            self.dst,
+            self.seq,
+            self.send_round,
+            self.payload,
+            self.attempt if attempt is None else attempt,
+            self.release,
+            self.order,
+            self.checksum,
+        )
 
 
 def frame_checksum(frame: Frame) -> int:
@@ -186,17 +205,23 @@ class LossyFabric:
         #: Frames queued on all links, kept by :meth:`_enqueue` and
         #: :meth:`deliver`.
         self.in_flight = 0
-        # Every directed link's spec, resolved once.
-        self._specs: dict[tuple[int, int], LinkFaultSpec] = {
+        specs = {
             (src, dst): plan.spec(src, dst)
             for src in range(n)
             for dst in range(n)
             if src != dst
         }
-        self._queues: dict[tuple[int, int], list[Frame]] = {}
-        # The links that have carried a frame, sorted by (src, dst): the
+        # Every directed link, resolved once: its spec when it rolls faults
+        # (None on a perfect link) and its spec when it has partition
+        # windows (None otherwise).
+        self._links: dict[tuple[int, int], tuple[LinkFaultSpec | None, ...]] = {
+            key: (spec if spec.faulty else None, spec if spec.partitions else None)
+            for key, spec in specs.items()
+        }
+        self._queues: dict[tuple[int, int], list[Frame]] = {key: [] for key in specs}
+        # The links whose queue holds a frame, sorted by (src, dst): the
         # scan order of ready_frames.  Each entry holds the link's queue
-        # and, only when the link has partition windows, its spec.
+        # and its partition windows.
         self._scan: list[tuple[tuple[int, int], list[Frame], LinkFaultSpec | None]] = []
         self._rngs: dict[tuple[int, int], object] = {}
         self._order = 0
@@ -205,20 +230,19 @@ class LossyFabric:
         self._pending_heals = sorted(
             (
                 heal
-                for spec in self._specs.values()
+                for spec in specs.values()
                 for _start, heal in spec.partitions
                 if heal is not None
             ),
             reverse=True,
         )
 
-    def _rng(self, src: int, dst: int):
-        key = (src, dst)
+    def _rng(self, key: tuple[int, int]):
         rng = self._rngs.get(key)
         if rng is None:
             import numpy as np
 
-            rng = np.random.default_rng([self.plan.seed, src, dst])
+            rng = np.random.default_rng([self.plan.seed, *key])
             self._rngs[key] = rng
         return rng
 
@@ -229,15 +253,16 @@ class LossyFabric:
         delay and reorder) so the per-link RNG stream is consumed
         identically across replays.
         """
-        spec = self._specs[frame.src, frame.dst]
-        if spec.partitioned_at(self.clock):
+        key = (frame.src, frame.dst)
+        spec, windows = self._links[key]
+        if windows is not None and windows.partitioned_at(self.clock):
             PERF.link_drops += 1
             return False
-        if not spec.faulty:
+        if spec is None:
             frame.release = self.clock
             self._enqueue(frame)
             return True
-        rng = self._rng(frame.src, frame.dst)
+        rng = self._rng(key)
         if spec.loss and rng.random() < spec.loss:
             PERF.link_drops += 1
             return False
@@ -246,7 +271,7 @@ class LossyFabric:
             copies = 2
             PERF.link_dups += 1
         for copy_index in range(copies):
-            fr = frame if copy_index == 0 else replace(frame)
+            fr = frame if copy_index == 0 else frame.copy()
             fr.release = self.clock
             if spec.delay:
                 fr.release += int(rng.integers(0, spec.delay + 1))
@@ -265,33 +290,31 @@ class LossyFabric:
         self._order += 1
         frame.order = self._order
         key = (frame.src, frame.dst)
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = self._queues[key] = []
-            spec = self._specs[key]
-            insort(self._scan, (key, queue, spec if spec.partitions else None), key=_link_key)
+        queue = self._queues[key]
+        if not queue:
+            insort(self._scan, (key, queue, self._links[key][1]), key=_link_key)
         insort(queue, frame, key=_release_key)
         self.in_flight += 1
 
     def ready_frames(self) -> list[Frame]:
         """Deliverable link heads, in deterministic ``(src, dst)`` order."""
         clock = self.clock
-        out = []
-        for _key, queue, partitioned in self._scan:
-            if queue:
-                head = queue[0]
-                if head.release <= clock and (
-                    partitioned is None or not partitioned.partitioned_at(clock)
-                ):
-                    out.append(head)
-        return out
+        return [
+            queue[0]
+            for _key, queue, windows in self._scan
+            if queue[0].release <= clock
+            and (windows is None or not windows.partitioned_at(clock))
+        ]
 
     def deliver(self, frame: Frame) -> None:
         """Remove a chosen head from its link and advance the clock."""
-        queue = self._queues.get((frame.src, frame.dst))
+        key = (frame.src, frame.dst)
+        queue = self._queues.get(key)
         if not queue or queue[0] is not frame:
             raise ChannelError("scheduler chose a non-head frame")
         queue.pop(0)
+        if not queue:
+            del self._scan[bisect_left(self._scan, key, key=_link_key)]
         self.in_flight -= 1
         self.advance_to(self.clock + 1)
 
@@ -321,10 +344,10 @@ class LossyFabric:
         fabric, or only frames stuck behind never-healing partitions).
         """
         best: int | None = None
-        for key, queue in self._queues.items():
-            if not queue:
-                continue
-            available = self._available_from(self._specs[key], self.clock)
+        for _key, queue, windows in self._scan:
+            available = (
+                self.clock if windows is None else self._available_from(windows, self.clock)
+            )
             if available is None:
                 continue
             candidate = max(queue[0].release, available)
@@ -333,7 +356,7 @@ class LossyFabric:
         return best
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     """Sender-side retransmission state for one unacknowledged frame."""
 
@@ -422,7 +445,7 @@ class TransportNetwork:
             next_retry = self.fabric.clock + self._rto(link, seq, 1)
             pending[seq] = _Pending(frame=frame, attempt=1, next_retry=next_retry)
             heapq.heappush(self._timers, (next_retry, self._link_rank[link], seq, link))
-        self.fabric.send(replace(frame))
+        self.fabric.send(frame.copy())
 
     @property
     def undelivered(self) -> int:
@@ -616,7 +639,10 @@ class TransportNetwork:
                 "still unacknowledged — reliable delivery is impossible "
                 "(a never-healing partition?); aborting instead of hanging"
             )
-        if not self.reliable:
+        # Most frames fire nothing: return while even the earliest entry,
+        # live or dead, lies ahead (always in raw mode, which sets no
+        # timer).  Dead entries stay for _next_retry to drop.
+        if not self._timers or self._timers[0][0] > clock:
             return
         # Expired timers fire in (link_rank, seq) order: each send moves
         # ``in_flight``, which the next ``_rto`` reads.
@@ -628,7 +654,7 @@ class TransportNetwork:
             link, entry = due[rank, seq]
             entry.attempt += 1
             PERF.retransmissions += 1
-            self.fabric.send(replace(entry.frame, attempt=entry.attempt))
+            self.fabric.send(entry.frame.copy(attempt=entry.attempt))
             entry.next_retry = clock + self._rto(link, seq, entry.attempt)
             heapq.heappush(self._timers, (entry.next_retry, rank, seq, link))
 

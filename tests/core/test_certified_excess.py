@@ -1,10 +1,11 @@
 """The certified excess against the projection-only reference.
 
 In d >= 2, ``core/invariants.py::_excess`` projects only the vertices the
-target's H-rep cannot certify.  These tests compare the reports of
-``check_validity`` and ``check_optimality`` with the ones the reference
+target's H-rep cannot certify; in d = 1 it clamps every point at once.
+These tests compare the reports of ``check_validity`` and
+``check_optimality`` with the ones the reference
 (``tests/oracles/invariants.py``, which projects every vertex) gives on
-real runs, and the two excesses on degenerate and far-from-origin
+real runs, and the two excesses on degenerate, far-from-origin and 1-d
 targets.
 """
 
@@ -20,9 +21,9 @@ from repro.core.invariants import check_optimality, check_validity
 from repro.core.runner import run_convex_hull_consensus
 from repro.geometry.polytope import ConvexPolytope
 from repro.geometry.tolerances import INVARIANT_TOL
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import FaultPlan, LinkFaultPlan
 from repro.runtime.messages import InputTuple
-from repro.runtime.scheduler import AdaptiveAdversaryScheduler
+from repro.runtime.scheduler import AdaptiveAdversaryScheduler, RandomScheduler
 from repro.runtime.tracing import ExecutionTrace, ProcessTrace
 from repro.workloads import inputs as gen
 from repro.workloads.scenarios import outlier_attack
@@ -87,6 +88,22 @@ class TestRealRuns:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_outlier_attack(self, seed):
         _assert_reports_match(_outlier_attack(seed).trace)
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_lossy_1d(self, seed):
+        """The ``lossy-1d`` perfbench workload: n=8, d=1, f=2 over lossy links."""
+        result = run_convex_hull_consensus(
+            gen.uniform_box(8, 1, seed=seed),
+            2,
+            0.05,
+            scheduler=RandomScheduler(seed=seed),
+            seed=seed,
+            link_faults=LinkFaultPlan.uniform(
+                loss=0.2, dup=0.05, reorder=0.1, delay=2, seed=seed
+            ),
+        )
+        assert result.trace.dim == 1
+        assert _assert_reports_match(result.trace).checked_states > 0
 
     def test_3d_run(self):
         result = run_convex_hull_consensus(
@@ -194,6 +211,64 @@ class TestFarFromOrigin:
         report = check_validity(result.trace)
         assert report.checked_states == 328
         assert report.ok, report.violations[:3]
+
+
+def _interval_case(rng):
+    """Random 1-d ``(points, target)``: an interval or a single vertex,
+    often translated to +-1e6, and points inside, outside, on the
+    endpoints and one ulp either side of them."""
+    shift = rng.choice([0.0, 1e6, -1e6])
+    count = 1 if rng.random() < 0.25 else int(rng.integers(2, 6))
+    target = ConvexPolytope.from_points(shift + rng.uniform(-1, 1, (count, 1)))
+    lo, hi = target.bounding_box
+    ends = [
+        value
+        for end in (lo[0], hi[0])
+        for value in (end, np.nextafter(end, -np.inf), np.nextafter(end, np.inf))
+    ]
+    picked = rng.choice(ends, size=int(rng.integers(0, 7)))
+    spread = shift + rng.uniform(-2, 2, int(rng.integers(1, 8)))
+    points = rng.permutation(np.concatenate([picked, spread]))
+    return points[:, None], target
+
+
+class TestInterval:
+    """d = 1: one vectorised clamp for all points, bit for bit the
+    reference's per-point projection."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_bit_for_bit(self, seed):
+        for case in range(250):
+            points, target = _interval_case(np.random.default_rng([seed, case]))
+            got = invariants._excess(points, target)
+            assert type(got) is float
+            assert got.hex() == reference.excess(points, target).hex()
+
+    @pytest.mark.parametrize(
+        "vertices, points",
+        [
+            ([[-0.0], [1.0]], [[0.0]]),
+            ([[-0.0], [1.0]], [[0.0], [-0.0]]),
+            ([[0.0]], [[-0.0], [0.0]]),
+            ([[2.5]], [[2.5]]),
+            ([[-3.0], [-1.0]], [[-3.0], [-1.0], [-2.0]]),
+        ],
+    )
+    def test_signed_zeros_and_endpoints(self, vertices, points):
+        target = ConvexPolytope.from_points(vertices)
+        got = invariants._excess(points, target)
+        assert got.hex() == reference.excess(points, target).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises(self, bad):
+        target = ConvexPolytope.from_points([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            invariants._excess([[0.5], [bad]], target)
+
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 1))])
+    def test_no_points(self, points):
+        target = ConvexPolytope.from_points([[0.0], [1.0]])
+        assert invariants._excess(points, target) == 0.0
 
 
 def _trace_with_state(state, inputs):

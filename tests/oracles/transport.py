@@ -1,8 +1,9 @@
 """Full-scan references for the reliable transport's two orders.
 
-:class:`~repro.runtime.transport.LossyFabric` keeps a sorted link scan
-and :class:`~repro.runtime.transport.TransportNetwork` a retransmission
-timer heap.  Both must reproduce these scans exactly, because frame order
+:class:`~repro.runtime.transport.LossyFabric` keeps a sorted scan of the
+links whose queue holds a frame, and
+:class:`~repro.runtime.transport.TransportNetwork` a retransmission timer
+heap.  Both must reproduce these scans exactly, because frame order
 numbers and per-link RNG draws depend on the order frames are chosen and
 retransmitted in.
 """
@@ -10,6 +11,11 @@ retransmitted in.
 from __future__ import annotations
 
 from repro.runtime.transport import Frame, LossyFabric, TransportNetwork
+
+
+def busy_links(fabric: LossyFabric) -> list[tuple[int, int]]:
+    """The links whose queue holds a frame, in ``(src, dst)`` order."""
+    return sorted(key for key, queue in fabric._queues.items() if queue)
 
 
 def ready_frames_scan(fabric: LossyFabric) -> list[Frame]:

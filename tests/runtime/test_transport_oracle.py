@@ -1,11 +1,15 @@
 """The transport's link scan and timer heap against their full-scan oracles.
 
-At every fabric step of a real Algorithm CC run, ``ready_frames()`` must
-return exactly the heads :func:`tests.oracles.transport.ready_frames_scan`
-finds, ``pump()`` must retransmit exactly the ``(link, seq)`` list
+At every fabric step of a real Algorithm CC run, the fabric's scan list
+must hold exactly the links :func:`tests.oracles.transport.busy_links`
+finds, ``ready_frames()`` must return exactly the heads
+:func:`tests.oracles.transport.ready_frames_scan` finds, ``pump()`` must
+retransmit exactly the ``(link, seq)`` list
 :func:`tests.oracles.transport.expired_timers` gives, in that order, and
 ``advance_idle()`` must land on the deadline the full scan computes.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,12 +21,14 @@ from repro.runtime.faults import FaultPlan, LinkFaultPlan, LinkFaultSpec
 from repro.runtime.scheduler import RandomScheduler
 from repro.runtime.transport import (
     ACK,
+    DATA,
     Frame,
     TransportBudgetError,
     TransportNetwork,
     run_transport_simulation,
 )
 from tests.oracles.transport import (
+    busy_links,
     expired_timers,
     next_retry_scan,
     ready_frames_scan,
@@ -53,6 +59,8 @@ class CheckedTransport(TransportNetwork):
         scan = fabric.ready_frames
 
         def checked_scan():
+            assert [key for key, _queue, _windows in fabric._scan] == busy_links(fabric)
+            assert all(queue is fabric._queues[key] for key, queue, _windows in fabric._scan)
             frames = scan()
             expected = ready_frames_scan(fabric)
             assert [id(f) for f in frames] == [id(f) for f in expected]
@@ -162,3 +170,26 @@ def test_timer_heap_skips_acked_and_rescheduled_entries():
     assert ((0, 1), 0) not in fired and ((0, 1), 1) not in fired
     assert fired == {((0, 1), 2)} | {(link, seq) for link in ((2, 1), (0, 2)) for seq in range(3)}
     assert len(net.fired) > len(fired)  # rescheduled timers fired again
+
+
+def test_frame_copy_is_field_by_field():
+    frame = Frame(
+        kind=DATA,
+        src=2,
+        dst=0,
+        seq=5,
+        send_round=3,
+        payload=("x", 1),
+        attempt=2,
+        release=17,
+        order=41,
+        checksum=12345,
+    )
+    copy = frame.copy()
+    assert copy is not frame
+    assert dataclasses.astuple(copy) == dataclasses.astuple(frame)
+    retry = frame.copy(attempt=3)
+    assert retry is not frame and retry.attempt == 3 and frame.attempt == 2
+    assert dataclasses.replace(retry, attempt=2) == frame
+    for name in ("release", "order", "checksum"):  # compare=False fields
+        assert getattr(retry, name) == getattr(frame, name)
