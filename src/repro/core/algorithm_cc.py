@@ -47,7 +47,6 @@ from ..runtime.messages import (
     SVInit,
     SVView,
     freeze_point,
-    freeze_vertices,
 )
 from ..runtime.process import Outgoing, ProtocolCore
 from ..runtime.stable_vector import StableVectorEngine
@@ -185,13 +184,10 @@ class CCSkeleton(ProtocolCore):
     def _enter_round(self, t: int) -> list[Outgoing]:
         """Lines 7-10: advance to round t and broadcast ``h_i[t-1]``."""
         self._round = t
-        message = RoundMessage(
-            vertices=freeze_vertices(self._h[t - 1].vertices),
-            sender=self.pid,
-            round_index=t,
-        )
+        state = self._h[t - 1]
+        message = RoundMessage(state=state, sender=self.pid, round_index=t)
         # Line 8: the own message joins MSG_i[t] directly (no self-channel).
-        self._round_buffer.setdefault(t, {})[self.pid] = self._h[t - 1]
+        self._round_buffer.setdefault(t, {})[self.pid] = state
         out: list[Outgoing] = [(None, message)]
         out.extend(self._maybe_complete_round())
         return out
@@ -201,14 +197,7 @@ class CCSkeleton(ProtocolCore):
         t = msg.round_index
         if t in self._frozen_rounds or t < self._round:
             return []  # Y_i[t] already frozen; late arrivals are discarded.
-        # ``msg.vertices`` is always the sender's ``h_j[t-1].vertices`` —
-        # a vertex set the sender already minimized — so the receiver must
-        # not re-run the hull on it; the trusted (interned) constructor
-        # shares one polytope instance among all receivers of a broadcast.
-        poly = ConvexPolytope.from_trusted_vertices(
-            msg.vertices, dim=self.config.dim
-        )
-        self._round_buffer.setdefault(t, {})[msg.sender] = poly
+        self._round_buffer.setdefault(t, {})[msg.sender] = msg.state
         return self._maybe_complete_round()
 
     def _maybe_complete_round(self) -> list[Outgoing]:
@@ -288,15 +277,10 @@ class CCProcess(CCSkeleton):
                 "result": entries(sv.result) if sv.result is not None else None,
                 "broadcasts_sent": sv.broadcasts_sent,
             },
-            "h": {
-                str(t): [list(v) for v in freeze_vertices(poly.vertices)]
-                for t, poly in self._h.items()
-            },
+            "h": {str(t): poly.vertices.tolist() for t, poly in self._h.items()},
             "round_buffer": {
                 str(t): {
-                    str(sender): [
-                        list(v) for v in freeze_vertices(poly.vertices)
-                    ]
+                    str(sender): poly.vertices.tolist()
                     for sender, poly in buf.items()
                 }
                 for t, buf in self._round_buffer.items()
@@ -314,9 +298,9 @@ class CCProcess(CCSkeleton):
         """Rebuild a process from :meth:`checkpoint` output.
 
         The restored core is a genuinely fresh object — every polytope is
-        re-interned from the serialized vertices via the trusted
-        constructor (the sender had already minimized them), so the
-        restore path exercises real deserialization, never object reuse.
+        rebuilt from the serialized vertices by the trusted constructor
+        (they were already minimal when saved), so the restore path
+        exercises real deserialization, never object reuse.
         """
 
         def tuples(entries) -> set[InputTuple]:
@@ -326,8 +310,7 @@ class CCProcess(CCSkeleton):
             }
 
         def polytope(vertices) -> ConvexPolytope:
-            frozen = tuple(tuple(float(x) for x in row) for row in vertices)
-            return ConvexPolytope.from_trusted_vertices(frozen, dim=config.dim)
+            return ConvexPolytope(vertices, config.dim, _trusted=True)
 
         core = cls(
             pid=int(data["pid"]),

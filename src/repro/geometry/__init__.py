@@ -3,13 +3,12 @@
 This package implements every geometric primitive the paper treats as a
 mathematical given: convex hulls ``H(X)``, the weighted polytope
 combination ``L`` (Definition 2), subset-hull intersections (line 5 /
-Eq. 21), Hausdorff distance (Eq. 1), Tverberg partitions (Theorem 5), and
-supporting machinery (H-representations, projections, depth, volume,
-sampling) — all on numpy/scipy, with explicit degeneracy handling.
+Eq. 21), Hausdorff distance (Eq. 1), and supporting machinery
+(H-representations, projections, volume, sampling) — all on numpy/scipy,
+with explicit degeneracy handling.
 """
 
-from .batch import batch_directed_hausdorff, batch_disagreement_diameter
-from .cache import PERF, PerfCounters, cache_stats, clear_geometry_caches
+from .cache import PERF, PerfCounters, clear_geometry_caches
 from .combination import (
     equal_weight_combination,
     linear_combination,
@@ -72,13 +71,6 @@ from .sampling import (
     sample_outside_polytope,
 )
 from .steiner import steiner_lipschitz_bound, steiner_point
-from .tverberg import (
-    common_point_of_hulls,
-    radon_partition,
-    tverberg_partition,
-    tverberg_partition_1d,
-    verify_tverberg_partition,
-)
 from .volume import polytope_measure, polytope_volume, volume_ratio
 from .width import (
     aspect_ratio,
@@ -106,12 +98,8 @@ __all__ = [
     "affine_rank",
     "as_points_array",
     "aspect_ratio",
-    "batch_directed_hausdorff",
-    "batch_disagreement_diameter",
-    "cache_stats",
     "chebyshev_center",
     "clear_geometry_caches",
-    "common_point_of_hulls",
     "cross_polytope",
     "dilate",
     "directional_width",
@@ -145,7 +133,6 @@ __all__ = [
     "polytope_volume",
     "project_onto_hull",
     "project_onto_simplex",
-    "radon_partition",
     "regular_polygon",
     "sample_boundary_mixtures",
     "sample_in_polytope",
@@ -156,10 +143,7 @@ __all__ = [
     "stochastic_row_combination",
     "subset_count",
     "subset_intersection_is_nonempty",
-    "tverberg_partition",
-    "tverberg_partition_1d",
     "validate_weights",
-    "verify_tverberg_partition",
     "vertices_of_halfspace_system",
     "volume_ratio",
 ]

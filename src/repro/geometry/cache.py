@@ -2,17 +2,14 @@
 
 Algorithm CC performs the *same* geometric computations many times per
 execution: all processes sharing a stable-vector view compute the
-identical round-0 subset intersection, processes freezing the same
-``Y_i[t]`` multiset compute the identical combination ``L``, and every
-receiver of a round message materializes the same broadcast polytope.
-This module provides the shared machinery that collapses that
-redundancy:
+identical round-0 subset intersection, and processes freezing the same
+``Y_i[t]`` multiset compute the identical combination ``L``.  This module
+provides the shared machinery that collapses that redundancy:
 
 * :class:`LruCache` — a bounded, insertion-ordered cache, one per
-  memoized layer: the subset intersection, the combination ``L`` and
-  polytope interning (``polytope.py``);
-* :func:`memoized_polytope` — the one lookup path of the two
-  polytope-valued layers: the in-memory LRU, then the computation itself;
+  memoized layer: the subset intersection and the combination ``L``;
+* :func:`memoized_polytope` — the one lookup path of both layers: the
+  in-memory LRU, then the computation itself;
 * content-addressed keys (:func:`array_key`) — a geometry value is keyed
   by the raw bytes of its float64 vertex array, so *results are shared
   if and only if the inputs are bit-identical*.  Every memoized path is
@@ -65,12 +62,14 @@ class PerfCounters:
     combination_calls: int = 0
     combination_cache_hits: int = 0
     combination_cache_misses: int = 0
+    # Always 0: round messages carry the sender's polytope, so nothing is
+    # interned.  Kept because perfbench/run.py reads both by name.
     polytope_intern_hits: int = 0
     polytope_intern_misses: int = 0
     lp_solves: int = 0
     minkowski_pairs: int = 0
     minkowski_candidates: int = 0
-    # Hausdorff bound-and-prune counters (repro.geometry.batch): pairs
+    # Hausdorff bound-and-prune counters (repro.geometry.hausdorff): pairs
     # evaluated, pairs and vertices pruned, and distinct members after dedup.
     batch_hausdorff_pairs: int = 0
     batch_hausdorff_pair_prunes: int = 0
@@ -143,9 +142,8 @@ class LruCache:
 
     A thin :class:`OrderedDict` wrapper: ``get`` refreshes recency,
     ``put`` evicts the oldest entry beyond ``maxsize``.  Hit/miss
-    accounting is left to the call sites (:func:`memoized_polytope` and
-    polytope interning), each reporting into its own
-    :class:`PerfCounters` fields.
+    accounting is left to the call site, :func:`memoized_polytope`, which
+    reports into the cache's own :class:`PerfCounters` fields.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE, name: str = ""):
@@ -183,7 +181,7 @@ class LruCache:
         self._data.clear()
 
 
-#: Registry of every named cache, for bulk clearing and stats reporting.
+#: Registry of every named cache, for bulk clearing.
 _REGISTRY: dict[str, LruCache] = {}
 
 
@@ -197,26 +195,12 @@ def _register(name: str, maxsize: int = DEFAULT_CACHE_SIZE) -> LruCache:
 SUBSET_CACHE = _register("subset_intersection")
 #: linear_combination results: (operand keys..., weight bytes) -> ConvexPolytope.
 COMBINATION_CACHE = _register("combination")
-#: Interned trusted polytopes: (dim, shape, bytes) -> ConvexPolytope.
-POLYTOPE_CACHE = _register("polytope")
 
 
 def clear_geometry_caches() -> None:
     """Empty every geometry cache (counters are left untouched)."""
     for cache in _REGISTRY.values():
         cache.clear()
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Size/capacity/eviction stats for every registered cache."""
-    return {
-        name: {
-            "size": len(cache),
-            "maxsize": cache.maxsize,
-            "evictions": cache.evictions,
-        }
-        for name, cache in _REGISTRY.items()
-    }
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .cache import POLYTOPE_CACHE, PERF, array_key
 from .errors import DimensionMismatchError, EmptyPolytopeError
 from .hull import hull_vertices
 from .linalg import affine_chart, affine_rank, as_points_array
@@ -34,8 +33,9 @@ class ConvexPolytope:
 
     Construct via :meth:`from_points` (computes the hull of arbitrary
     points), :meth:`from_interval` (1-d fast path), :meth:`singleton`, or
-    :meth:`empty`.  The raw constructor trusts its input to already be a
-    minimal vertex set and is intended for internal use.
+    :meth:`empty`.  The raw constructor is intended for internal use: it
+    hulls its input unless ``_trusted=True`` asserts that the vertex set
+    is already minimal.
     """
 
     __slots__ = ("_vertices", "_dim", "__dict__")
@@ -67,35 +67,6 @@ class ConvexPolytope:
             return cls.empty(dim)
         verts = hull_vertices(pts)
         return cls(verts, pts.shape[1], _trusted=True)
-
-    @classmethod
-    def from_trusted_vertices(
-        cls, vertices, dim: int | None = None
-    ) -> "ConvexPolytope":
-        """Interned construction from an *already-minimal* vertex set.
-
-        The caller asserts the vertex set is minimal (e.g. it is the
-        ``vertices`` array of an existing polytope, as in Algorithm CC's
-        round messages, which always carry ``h_i[t-1].vertices``).
-        Bit-identical vertex sets return one shared immutable instance —
-        a broadcast polytope is materialized once per run instead of once
-        per receiver, and its lazily cached H-rep / derived properties
-        are shared by every receiver.
-        """
-        arr = np.asarray(vertices, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, dim or 0)
-        if dim is None:
-            dim = arr.shape[1]
-        key = (dim, array_key(arr))
-        cached = POLYTOPE_CACHE.get(key)
-        if cached is not None:
-            PERF.polytope_intern_hits += 1
-            return cached
-        PERF.polytope_intern_misses += 1
-        poly = cls(arr, dim, _trusted=True)
-        POLYTOPE_CACHE.put(key, poly)
-        return poly
 
     @classmethod
     def from_interval(cls, lo: float, hi: float) -> "ConvexPolytope":

@@ -15,7 +15,6 @@ from .messages import (
     SVInit,
     SVView,
     freeze_point,
-    freeze_vertices,
 )
 from .network import Channel, ChannelError, Network
 from .process import Outgoing, ProcessShell, ProtocolCore
@@ -77,6 +76,5 @@ __all__ = [
     "run_lockstep_consensus",
     "run_lockstep_simulation",
     "freeze_point",
-    "freeze_vertices",
     "run_simulation",
 ]

@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry.cache import PERF
+from ..geometry.polytope import ConvexPolytope
 from .faults import EQUIVOCATE, FORGE, OMIT, ByzantineSpec
 from .messages import (
     BBroadcast,
@@ -47,7 +48,6 @@ from .messages import (
     SVInit,
     SVView,
     freeze_point,
-    freeze_vertices,
 )
 
 
@@ -160,16 +160,12 @@ class ByzantineEngine:
                 )
             )
         if isinstance(payload, RoundMessage):
-            if not payload.vertices:
-                return payload
-            dim = len(payload.vertices[0])
-            verts = freeze_vertices(
-                np.array(
-                    [self._fake_point(dim) for _ in payload.vertices], dtype=float
-                )
-            )
+            # Receivers trust a round message's vertices as minimal, as
+            # they trust an honest sender's; the fake points need not be.
+            dim = payload.state.dim
+            points = [self._fake_point(dim) for _ in range(payload.state.num_vertices)]
             return RoundMessage(
-                vertices=verts,
+                state=ConvexPolytope(points, dim, _trusted=True),
                 sender=payload.sender,
                 round_index=payload.round_index,
             )

@@ -7,8 +7,11 @@ immutable dataclass; the network layer wraps them in :class:`Envelope`
 records carrying source/destination and a per-channel sequence number (the
 FIFO/exactly-once bookkeeping of the system model).
 
-Payload values are stored as plain tuples (hashable, immutable) so that
-views can be sets and traces can be compared structurally.
+Round-0 values travel as plain tuples (hashable, immutable), so views can
+be sets and traces can be compared structurally.  A round t >= 1 message
+carries the sender's state itself: a :class:`ConvexPolytope` is immutable
+(read-only vertex array, cached properties that are pure functions of it),
+so every receiver can buffer the sender's own object.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from typing import Union
 
 import numpy as np
 
+from ..geometry.polytope import ConvexPolytope
+
 Point = tuple[float, ...]
 
 
@@ -25,14 +30,6 @@ def freeze_point(value) -> Point:
     """Convert an array-like d-vector into a hashable tuple of floats."""
     arr = np.asarray(value, dtype=float).reshape(-1)
     return tuple(float(v) for v in arr)
-
-
-def freeze_vertices(vertices) -> tuple[Point, ...]:
-    """Convert an (m, d) vertex array into nested tuples."""
-    arr = np.asarray(vertices, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return tuple(tuple(float(x) for x in row) for row in arr)
 
 
 @dataclass(frozen=True)
@@ -62,9 +59,13 @@ class SVView:
 
 @dataclass(frozen=True)
 class RoundMessage:
-    """A round t >= 1 message ``(h, j, t)``: the sender's previous state."""
+    """A round t >= 1 message ``(h, j, t)``: the sender's previous state.
 
-    vertices: tuple[Point, ...]
+    ``state`` is the sender's ``h_j[t-1]`` object, shared by every
+    receiver; equality and hashing compare it by identity.
+    """
+
+    state: ConvexPolytope
     sender: int
     round_index: int
 

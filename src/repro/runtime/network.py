@@ -19,8 +19,8 @@ sequence over the sorted ready keys that resolves a channel head only
 when indexed — instead of re-sorting and materializing all ~``n^2`` heads
 per delivery.  For the default uniform scheduler (which looks at
 ``len(heads)`` and one chosen element) each delivery touches O(1) heads;
-candidate *order* is identical to the eager :meth:`ready_heads`, which
-stays as the oracle the runtime tests compare against.
+the runtime tests compare the view against a full scan of the channels
+(``tests/oracles/network.py``).
 """
 
 from __future__ import annotations
@@ -36,17 +36,14 @@ class ReadyHeadsView(Sequence):
     """Live, lazy, ordered view of a network's deliverable channel heads.
 
     ``view[i]`` is the head envelope of the ``i``-th ready channel in
-    (src, dst) lexicographic order — element for element the same
-    sequence :meth:`Network.ready_heads` materializes, but heads are
-    fetched on demand: a scheduler that inspects only ``len(view)`` and
-    one index (the default uniform scheduler) costs O(1) per delivery
-    instead of O(ready channels).
+    (src, dst) lexicographic order, fetched on demand: a scheduler that
+    inspects only ``len(view)`` and one index (the default uniform
+    scheduler) costs O(1) per delivery instead of O(ready channels).
 
     The view is *live*: it reflects the network's current ready set, so
     it must be consumed before the next ``send``/``deliver`` mutates the
     network (exactly how the simulator's choose-then-deliver loop uses
-    it).  Schedulers that iterate receive the heads in the same order as
-    the eager list.
+    it).  Schedulers that iterate receive the heads in that order.
     """
 
     __slots__ = ("_network",)
@@ -96,7 +93,7 @@ class Network:
         }
         # Incrementally maintained index sets over channel keys.  The
         # sorted list mirrors the ready set exactly (same membership,
-        # lexicographic order) so views and eager snapshots agree.
+        # lexicographic order), and views read it.
         self._nonempty: set[tuple[int, int]] = set()
         self._ready: set[tuple[int, int]] = set()  # non-empty AND dst not crashed
         self._ready_sorted: list[tuple[int, int]] = []
@@ -151,16 +148,6 @@ class Network:
                     self._ready.add(key)
                     insort(self._ready_sorted, key)
         return []
-
-    def ready_heads(self) -> list[Envelope]:
-        """Deliverable channel heads, in deterministic (src, dst) order.
-
-        The eager snapshot — materializes every ready head.  The hot loop
-        uses :meth:`ready_view` instead; this stays as the oracle (the
-        runtime tests assert ``list(ready_view()) == ready_heads()``) and
-        as the convenient API for non-hot callers.
-        """
-        return [self._channels[key].head for key in self._ready_sorted]
 
     def ready_view(self) -> ReadyHeadsView:
         """Lazy ordered view over the deliverable heads (see class docs)."""

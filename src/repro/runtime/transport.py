@@ -167,9 +167,11 @@ def frame_checksum(frame: Frame) -> int:
     """Checksum over a frame's identity and payload.
 
     Payloads are frozen, hashable dataclasses, so Python's tuple hash is
-    a deterministic within-process digest of every field the application
-    will ever see.  The checksum's *value* is never observable (drops and
-    retransmissions depend only on match/mismatch, and a scrambled field
+    a deterministic within-process digest of the frame.  A round
+    message's state is an immutable polytope that hashes by identity,
+    which is stable within one process.  The checksum's *value* is never
+    observable (drops and retransmissions depend only on match/mismatch,
+    and a corrupting link scrambles only the checksum field, which then
     mismatches by construction), so hash randomization across OS
     processes cannot perturb replays.
     """

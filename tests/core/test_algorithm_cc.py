@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.baselines.vector_consensus import PointConsensusProcess
 from repro.core.algorithm_cc import CCProcess, EmptyInitialPolytopeError
 from repro.core.config import CCConfig
 from repro.core.runner import run_convex_hull_consensus
 from repro.geometry.hausdorff import disagreement_diameter
+from repro.geometry.polytope import ConvexPolytope
 from repro.runtime.faults import FaultPlan
 from repro.runtime.scheduler import BurstyScheduler
 from repro.runtime.simulator import run_simulation
@@ -84,7 +86,8 @@ class TestMessageHandling:
 
         # Deliver a round-3 message while still in round 0.
         out = core.on_message(
-            RoundMessage(vertices=((0.5,),), sender=1, round_index=3), src=1
+            RoundMessage(state=ConvexPolytope.singleton([0.5]), sender=1, round_index=3),
+            src=1,
         )
         assert core.current_round == 0
         assert out == []
@@ -105,9 +108,26 @@ class TestMessageHandling:
 
         before = core.output
         core.on_message(
-            RoundMessage(vertices=((0.9,),), sender=2, round_index=1), src=2
+            RoundMessage(state=ConvexPolytope.singleton([0.9]), sender=2, round_index=1),
+            src=2,
         )
         assert core.output.approx_equal(before)
+
+    @pytest.mark.parametrize("core_cls", [CCProcess, PointConsensusProcess])
+    def test_round_message_carries_the_senders_state(self, core_cls):
+        # The wire carries h_i[t-1] itself, and a receiver buffers that
+        # very object: no copy, no conversion in transit.
+        from repro.runtime.messages import InputTuple, RoundMessage
+
+        config = CCConfig(n=5, f=1, dim=1, eps=0.5)
+        a, b = (core_cls(pid=i, config=config, input_point=[i / 4]) for i in (0, 1))
+        view = {InputTuple(value=(i / 4,), sender=i) for i in range(4)}
+        [(dst, msg)] = a._complete_round0(view)
+        assert dst is None and isinstance(msg, RoundMessage)
+        assert (msg.sender, msg.round_index) == (0, 1)
+        assert msg.state is a._h[0]
+        assert b.on_message(msg, src=0) == []
+        assert b._round_buffer[1][0] is msg.state
 
 
 class TestFaultTolerance:

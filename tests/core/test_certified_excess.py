@@ -298,10 +298,10 @@ def _trace_with_state(state, inputs):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_vertex_raises(bad):
-    """``from_trusted_vertices`` does not check finiteness; the excess must
+    """The trusted constructor does not check finiteness; the excess must
     project a non-finite vertex, and the projection raises."""
-    state = ConvexPolytope.from_trusted_vertices(
-        [[0.2, 0.2], [bad, 0.4], [0.4, 0.6]], dim=2
+    state = ConvexPolytope(
+        np.array([[0.2, 0.2], [bad, 0.4], [0.4, 0.6]]), 2, _trusted=True
     )
     inputs = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]
     with pytest.raises(ValueError, match="finite"):

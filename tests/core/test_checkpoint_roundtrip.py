@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.core.algorithm_cc import CCProcess
 from repro.core.runner import build_config, run_convex_hull_consensus
+from repro.geometry.cache import array_key
 from repro.runtime.checkpoint import CheckpointStore, checkpoint_digest
 from repro.runtime.faults import DURABLE, FaultPlan
 
@@ -70,6 +71,13 @@ def test_final_checkpoint_carries_decision_state():
     np.testing.assert_array_equal(
         np.asarray(data["h"][str(t_end)], dtype=float), decided.vertices
     )
+    # So does every state h[t], saved and restored, bit for bit.
+    states = result.trace.processes[0].states
+    assert sorted(int(t) for t in data["h"]) == sorted(states) == list(range(t_end + 1))
+    for t, poly in states.items():
+        key = array_key(poly.vertices)
+        assert array_key(np.asarray(data["h"][str(t)], dtype=float)) == key, t
+        assert array_key(restored._h[t].vertices) == key, t
 
 
 def test_durable_recovery_decision_matches_no_crash_decisions():

@@ -1,13 +1,9 @@
-"""Unit tests for the Hausdorff bound-and-prune kernels (repro.geometry.batch)."""
+"""Unit tests for the Hausdorff bound-and-prune kernels (repro.geometry.hausdorff)."""
 
 import numpy as np
 import pytest
 
-from repro.geometry.batch import (
-    batch_directed_hausdorff,
-    batch_disagreement_diameter,
-    batch_enabled,
-)
+from repro.geometry.batch import batch_enabled
 from repro.geometry.cache import PERF
 from repro.geometry.errors import DimensionMismatchError, EmptyPolytopeError
 from repro.geometry.hausdorff import (
@@ -50,7 +46,7 @@ class TestBatchHausdorff:
     def test_identical_content_short_circuits(self):
         a = square()
         b = ConvexPolytope.from_points(a.vertices.copy())
-        assert batch_directed_hausdorff(a, b) == 0.0
+        assert directed_hausdorff(a, b) == 0.0
 
     def test_translation_exact(self):
         assert hausdorff_distance(
@@ -59,37 +55,37 @@ class TestBatchHausdorff:
 
     def test_errors_match_scalar(self):
         with pytest.raises(EmptyPolytopeError):
-            batch_directed_hausdorff(square(), ConvexPolytope.empty(2))
+            directed_hausdorff(square(), ConvexPolytope.empty(2))
         with pytest.raises(DimensionMismatchError):
-            batch_directed_hausdorff(square(), ConvexPolytope.from_interval(0, 1))
+            directed_hausdorff(square(), ConvexPolytope.from_interval(0, 1))
 
     def test_prunes_are_counted(self):
         polys = random_polys(8, 3, seed=3)
         before = PERF.batch_hausdorff_pairs
-        d_batch = batch_disagreement_diameter(polys)
+        d_batch = disagreement_diameter(polys)
         assert PERF.batch_hausdorff_pairs > before
         assert d_batch == disagreement_diameter_scalar(polys)
 
     def test_diameter_trivial_sizes(self):
-        assert batch_disagreement_diameter([]) == 0.0
-        assert batch_disagreement_diameter([square()]) == 0.0
+        assert disagreement_diameter([]) == 0.0
+        assert disagreement_diameter([square()]) == 0.0
 
     def test_diameter_all_identical(self):
         s = square()
         copies = [ConvexPolytope.from_points(s.vertices.copy()) for _ in range(4)]
-        assert batch_disagreement_diameter(copies) == 0.0
+        assert disagreement_diameter(copies) == 0.0
 
     def test_diameter_with_empty_raises(self):
         with pytest.raises(EmptyPolytopeError):
-            batch_disagreement_diameter([square(), ConvexPolytope.empty(2)])
+            disagreement_diameter([square(), ConvexPolytope.empty(2)])
         with pytest.raises(EmptyPolytopeError):
-            batch_disagreement_diameter(
+            disagreement_diameter(
                 [ConvexPolytope.empty(2), ConvexPolytope.empty(2)]
             )
 
     def test_diameter_with_mixed_dims_raises(self):
         with pytest.raises(DimensionMismatchError):
-            batch_disagreement_diameter(
+            disagreement_diameter(
                 [square(), ConvexPolytope.from_interval(0, 1)]
             )
 

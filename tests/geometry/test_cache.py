@@ -1,8 +1,8 @@
 """Unit tests for the geometry memoization layer (cache.py).
 
 Covers the LRU mechanics, the shared lookup path of the memoized
-primitives (subset intersection and combination), polytope interning,
-counter accounting, and the read-only discipline of shared results.
+primitives (subset intersection and combination), counter accounting,
+and the read-only discipline of shared results.
 """
 
 import numpy as np
@@ -11,11 +11,10 @@ import pytest
 from repro.geometry.cache import (
     COMBINATION_CACHE,
     PERF,
-    POLYTOPE_CACHE,
     SUBSET_CACHE,
     LruCache,
+    _REGISTRY,
     array_key,
-    cache_stats,
     clear_geometry_caches,
 )
 from repro.geometry.combination import linear_combination
@@ -123,40 +122,26 @@ class TestMemoizedPrimitives:
         assert PERF.diff(before)["subset_intersection_cache_misses"] == 1
 
 
-class TestPolytopeInterning:
-    def test_interned_instance_is_shared(self):
-        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        p1 = ConvexPolytope.from_trusted_vertices(verts, dim=2)
-        p2 = ConvexPolytope.from_trusted_vertices(verts.copy(), dim=2)
-        assert p1 is p2
-
-    def test_trusted_matches_from_points_on_minimal_input(self):
-        verts = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-        trusted = ConvexPolytope.from_trusted_vertices(verts, dim=2)
-        rebuilt = ConvexPolytope.from_points(verts, dim=2)
-        assert sorted(map(tuple, trusted.vertices)) == sorted(
-            map(tuple, rebuilt.vertices)
-        )
-
-
 class TestStatsAndKeys:
     def test_registry_covers_all_caches(self):
-        stats = cache_stats()
-        assert set(stats) == {"subset_intersection", "combination", "polytope"}
-        for entry in stats.values():
-            assert entry["size"] == 0  # cold-started by the fixture
-            assert entry["maxsize"] >= 1
-            assert entry["evictions"] >= 0
+        assert _REGISTRY == {
+            "subset_intersection": SUBSET_CACHE,
+            "combination": COMBINATION_CACHE,
+        }
+        for name, cache in _REGISTRY.items():
+            assert cache.name == name
+            assert len(cache) == 0  # cold-started by the fixture
+            assert cache.maxsize >= 1
 
     def test_clear_geometry_caches_empties_every_cache(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        poly = ConvexPolytope.from_trusted_vertices(pts, dim=2)
+        poly = ConvexPolytope.from_points(pts)
         intersect_subset_hulls(pts, 1)
         linear_combination([poly, poly], [0.5, 0.5])
-        for cache in (SUBSET_CACHE, COMBINATION_CACHE, POLYTOPE_CACHE):
+        for cache in (SUBSET_CACHE, COMBINATION_CACHE):
             assert len(cache) == 1
         clear_geometry_caches()
-        for cache in (SUBSET_CACHE, COMBINATION_CACHE, POLYTOPE_CACHE):
+        for cache in (SUBSET_CACHE, COMBINATION_CACHE):
             assert len(cache) == 0
 
     def test_array_key_is_content_addressed(self):

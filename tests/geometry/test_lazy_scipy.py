@@ -1,8 +1,8 @@
 """A 1-d run never loads scipy's Qhull or HiGHS modules.
 
-``geometry/hull.py``, ``halfspaces.py``, ``tverberg.py`` and ``volume.py``
-import ``scipy.spatial`` and ``scipy.optimize`` inside the functions that
-call Qhull or HiGHS.  A 1-d run needs neither, so ``import repro``, one
+``geometry/hull.py``, ``halfspaces.py`` and ``volume.py`` import
+``scipy.spatial`` and ``scipy.optimize`` inside the functions that call
+Qhull or HiGHS.  A 1-d run needs neither, so ``import repro``, one
 1-d run and its sweep row must leave both out of ``sys.modules``.  The
 check runs in a fresh interpreter: this test process has long since
 loaded them.

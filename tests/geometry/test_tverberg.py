@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.projection import point_in_hull
-from repro.geometry.tverberg import (
+from tests.oracles.tverberg import (
     common_point_of_hulls,
     radon_partition,
     tverberg_partition,

@@ -17,14 +17,18 @@ Provided here:
   LP certifies whichever candidate we find);
 * :func:`common_point_of_hulls` — LP computing a point in the intersection
   of the part hulls (the *certificate*), or ``None`` when there is none.
+
+The test suite uses these constructive witnesses to check Lemma 2 on its
+own terms; no module under ``src/`` calls them (the subset intersection's
+Tverberg-bound shortcut needs only the theorem's size bound).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_points_array
-from .tolerances import ABS_TOL
+from repro.geometry.linalg import as_points_array
+from repro.geometry.tolerances import ABS_TOL
 
 
 def radon_partition(points) -> tuple[list[int], list[int], np.ndarray]:

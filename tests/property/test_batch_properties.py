@@ -1,6 +1,6 @@
 """Bit-identity of the Hausdorff bound-and-prune kernels against the oracles.
 
-The kernels' contract (see :mod:`repro.geometry.batch`) is *exact* ``==``
+The kernels' contract (see :mod:`repro.geometry.hausdorff`) is *exact* ``==``
 equality with the exhaustive scalar scans in ``tests/oracles/`` — not
 approximate agreement.  These suites drive both over seeded random,
 duplicate-heavy, degenerate, and adversarially-scaled inputs and assert
@@ -14,10 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.geometry.batch import (
-    batch_directed_hausdorff,
-    batch_disagreement_diameter,
-)
 from repro.geometry.hausdorff import (
     directed_hausdorff,
     disagreement_diameter,
@@ -69,9 +65,9 @@ class TestDirectedIdentity:
     def test_directed_bit_identical(self, a, b):
         if a.dim != b.dim:
             with pytest.raises(Exception):
-                batch_directed_hausdorff(a, b)
+                directed_hausdorff(a, b)
             return
-        assert batch_directed_hausdorff(a, b) == directed_hausdorff_scalar(a, b)
+        assert directed_hausdorff(a, b) == directed_hausdorff_scalar(a, b)
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -79,7 +75,7 @@ class TestDirectedIdentity:
         polys = poly_family(d, 6, seed * 31 + d)
         for a in polys:
             for b in polys:
-                assert batch_directed_hausdorff(a, b) == directed_hausdorff_scalar(
+                assert directed_hausdorff(a, b) == directed_hausdorff_scalar(
                     a, b
                 ), (a.vertices, b.vertices)
 
@@ -88,7 +84,7 @@ class TestDirectedIdentity:
         rng = np.random.default_rng(9)
         a = ConvexPolytope.from_points(rng.normal(size=(8, 2)) * scale)
         b = ConvexPolytope.from_points(rng.normal(size=(8, 2)) * scale)
-        assert batch_directed_hausdorff(a, b) == directed_hausdorff_scalar(a, b)
+        assert directed_hausdorff(a, b) == directed_hausdorff_scalar(a, b)
         assert hausdorff_distance(a, b) == hausdorff_distance_scalar(a, b)
 
 
@@ -97,14 +93,14 @@ class TestDiameterIdentity:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_seeded_families(self, d, seed):
         polys = poly_family(d, 7, seed * 17 + d, dupes=True)
-        assert batch_disagreement_diameter(polys) == disagreement_diameter_scalar(
+        assert disagreement_diameter(polys) == disagreement_diameter_scalar(
             polys
         )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_degenerate_members(self, seed):
         polys = poly_family(3, 6, seed + 100, degenerate=True, dupes=True)
-        assert batch_disagreement_diameter(polys) == disagreement_diameter_scalar(
+        assert disagreement_diameter(polys) == disagreement_diameter_scalar(
             polys
         )
 
@@ -116,7 +112,7 @@ class TestDiameterIdentity:
             ConvexPolytope.from_points(base + np.array([k * 2.0, 0.0]))
             for k in range(5)
         ]
-        assert batch_disagreement_diameter(polys) == disagreement_diameter_scalar(
+        assert disagreement_diameter(polys) == disagreement_diameter_scalar(
             polys
         )
 

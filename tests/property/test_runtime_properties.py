@@ -13,6 +13,7 @@ from repro.core.runner import run_convex_hull_consensus
 from repro.runtime.messages import InputTuple, SVInit
 from repro.runtime.network import Network
 from repro.runtime.scheduler import BurstyScheduler, RandomScheduler
+from tests.oracles.network import checked_ready_view
 
 
 def _payload(tag):
@@ -44,14 +45,14 @@ def test_network_fifo_and_exactly_once(n, ops, seed):
             sent.setdefault((src, dst), []).append(counter)
             counter += 1
         if deliver_now:
-            heads = net.ready_heads()
+            heads = checked_ready_view(net)
             if heads:
                 env = heads[int(rng.integers(0, len(heads)))]
                 net.deliver(env)
                 delivered.setdefault((env.src, env.dst), []).append(env.seq)
     # Drain everything.
     while True:
-        heads = net.ready_heads()
+        heads = checked_ready_view(net)
         if not heads:
             break
         env = heads[int(rng.integers(0, len(heads)))]

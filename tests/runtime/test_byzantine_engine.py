@@ -1,8 +1,10 @@
 """ByzantineEngine: seeded lies, consistent forgeries, bounded palette."""
 
 import numpy as np
+import pytest
 
 from repro.geometry.cache import PERF
+from repro.geometry.polytope import ConvexPolytope
 from repro.runtime.byzantine import ByzantineEngine, byzantine_engines
 from repro.runtime.faults import ByzantineSpec, FaultPlan
 from repro.runtime.messages import (
@@ -12,8 +14,34 @@ from repro.runtime.messages import (
     SVInit,
     SVView,
     freeze_point,
-    freeze_vertices,
 )
+
+
+#: Forged vertices of ``test_round_message_forgery_is_bit_identical``,
+#: per behavior and destination, as ``float.hex``.  Recorded when round
+#: messages carried vertex tuples; a forged polytope must reproduce them.
+FORGED_HEX = {
+    "forge": {
+        dst: [
+            ["-0x1.27a4d6e49f9d8p+0", "0x1.766dd8e13a0b8p+0"],
+            ["0x1.9c95de3c551d0p+1", "-0x1.c95fdeda42ff6p+2"],
+            ["-0x1.ee64df7a8da80p-4", "-0x1.3c5695d89f56ep+2"],
+        ]
+        for dst in (0, 1)
+    },
+    "equivocate": {
+        0: [
+            ["-0x1.27a4d6e49f9d8p+0", "0x1.766dd8e13a0b8p+0"],
+            ["0x1.9c95de3c551d0p+1", "-0x1.c95fdeda42ff6p+2"],
+            ["-0x1.ee64df7a8da80p-4", "-0x1.3c5695d89f56ep+2"],
+        ],
+        1: [
+            ["-0x1.f84f43f31e9b4p+1", "-0x1.94f902d82edf8p+2"],
+            ["-0x1.ee64df7a8da80p-4", "-0x1.3c5695d89f56ep+2"],
+            ["-0x1.ee64df7a8da80p-4", "-0x1.3c5695d89f56ep+2"],
+        ],
+    },
+}
 
 
 def sv_init(value=0.5, sender=0):
@@ -101,15 +129,37 @@ class TestRewriteShapes:
     def test_round_message_rewrite_same_shape(self):
         engine = ByzantineEngine(0, ByzantineSpec(behaviors=("forge",)), 4)
         msg = RoundMessage(
-            vertices=freeze_vertices(np.array([[0.0, 0.0], [1.0, 1.0]])),
+            state=ConvexPolytope.from_points([[0.0, 0.0], [1.0, 1.0]]),
             sender=0,
             round_index=2,
         )
         mutated = engine.mutate(msg, 1)
         assert isinstance(mutated, RoundMessage)
         assert mutated.sender == 0 and mutated.round_index == 2
-        assert len(mutated.vertices) == 2
-        assert all(len(v) == 2 for v in mutated.vertices)
+        assert mutated.state.dim == 2
+        assert mutated.state.num_vertices == 2
+        assert not mutated.state.vertices.flags.writeable
+
+    @pytest.mark.parametrize("behavior", ["forge", "equivocate"])
+    def test_round_message_forgery_is_bit_identical(self, behavior):
+        # One fake point per vertex, drawn in vertex order from the
+        # engine's RNG stream.  Equivocation's second lie picks from the
+        # filled palette.
+        msg = RoundMessage(
+            state=ConvexPolytope(
+                np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 1.0]]), 2, _trusted=True
+            ),
+            sender=2,
+            round_index=3,
+        )
+        engine = ByzantineEngine(2, ByzantineSpec(behaviors=(behavior,), seed=5), 4)
+        for dst in (0, 1):
+            forged = engine.mutate(msg, dst)
+            assert (forged.sender, forged.round_index) == (2, 3)
+            assert forged.state.dim == 2
+            assert not forged.state.vertices.flags.writeable
+            got = [[x.hex() for x in row] for row in forged.state.vertices.tolist()]
+            assert got == FORGED_HEX[behavior][dst]
 
     def test_rb_point_body_rewritten_claim_body_stays_valid_shape(self):
         engine = ByzantineEngine(0, ByzantineSpec(behaviors=("forge",)), 4)

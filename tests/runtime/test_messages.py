@@ -1,8 +1,7 @@
-"""Unit tests for message types and freezing helpers."""
+"""Unit tests for message types and the point-freezing helper."""
 
 import numpy as np
-import pytest
-
+from repro.geometry.polytope import ConvexPolytope
 from repro.runtime.messages import (
     Envelope,
     InputTuple,
@@ -10,7 +9,6 @@ from repro.runtime.messages import (
     SVInit,
     SVView,
     freeze_point,
-    freeze_vertices,
 )
 
 
@@ -20,13 +18,6 @@ class TestFreezing:
 
     def test_freeze_point_from_list(self):
         assert freeze_point([3]) == (3.0,)
-
-    def test_freeze_vertices(self):
-        out = freeze_vertices(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert out == ((1.0, 2.0), (3.0, 4.0))
-
-    def test_freeze_vertices_1d_input(self):
-        assert freeze_vertices(np.array([1.0, 2.0])) == ((1.0, 2.0),)
 
     def test_frozen_values_hashable(self):
         entry = InputTuple(value=freeze_point([1.0, 2.0]), sender=3)
@@ -61,9 +52,11 @@ class TestPayloads:
         assert len(view.entries) == 2
 
     def test_round_message_fields(self):
-        msg = RoundMessage(vertices=((0.0, 0.0), (1.0, 1.0)), sender=2, round_index=3)
+        state = ConvexPolytope.from_points([[0.0, 0.0], [1.0, 1.0]])
+        msg = RoundMessage(state=state, sender=2, round_index=3)
         assert msg.round_index == 3
-        assert len(msg.vertices) == 2
+        assert msg.state is state
+        assert msg.state.num_vertices == 2
 
     def test_envelope_identity_semantics(self):
         payload = SVInit(entry=InputTuple(value=(0.0,), sender=0))

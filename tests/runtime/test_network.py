@@ -4,6 +4,7 @@ import pytest
 
 from repro.runtime.messages import InputTuple, SVInit
 from repro.runtime.network import ChannelError, Network
+from tests.oracles.network import checked_ready_view, ready_heads
 
 
 def _payload(i=0):
@@ -14,7 +15,7 @@ class TestNetwork:
     def test_send_and_deliver(self):
         net = Network(3)
         net.send(0, 1, _payload(), send_round=0)
-        heads = net.ready_heads()
+        heads = checked_ready_view(net)
         assert len(heads) == 1
         env = net.deliver(heads[0])
         assert env.src == 0 and env.dst == 1
@@ -26,7 +27,7 @@ class TestNetwork:
             net.send(0, 1, _payload(i), send_round=0)
         seqs = []
         while True:
-            heads = net.ready_heads()
+            heads = checked_ready_view(net)
             if not heads:
                 break
             env = net.deliver(heads[0])
@@ -43,14 +44,14 @@ class TestNetwork:
         net.send(0, 1, _payload(), send_round=0)
         net.send(0, 2, _payload(), send_round=0)
         net.mark_crashed(1)
-        heads = net.ready_heads()
+        heads = checked_ready_view(net)
         assert all(env.dst == 2 for env in heads)
 
     def test_deliver_non_head_rejected(self):
         net = Network(2)
         net.send(0, 1, _payload(0), send_round=0)
         net.send(0, 1, _payload(1), send_round=0)
-        heads = net.ready_heads()
+        heads = checked_ready_view(net)
         env0 = net.deliver(heads[0])
         assert env0.seq == 0
         # Grab the new head, then try to re-deliver a stale envelope object.
@@ -73,7 +74,7 @@ class TestNetwork:
         # harness bug and must surface as ChannelError, not a silent redo.
         net = Network(2)
         net.send(0, 1, _payload(), send_round=0)
-        env = net.deliver(net.ready_heads()[0])
+        env = net.deliver(checked_ready_view(net)[0])
         net.send(0, 1, _payload(1), send_round=0)
         with pytest.raises(ChannelError):
             net.deliver(env)
@@ -84,14 +85,14 @@ class TestNetwork:
         net.send(0, 1, _payload(), send_round=0)
         net.send(0, 2, _payload(), send_round=0)
         net.mark_crashed(1)
-        ready_after_first = [(e.src, e.dst) for e in net.ready_heads()]
+        ready_after_first = [(e.src, e.dst) for e in checked_ready_view(net)]
         net.mark_crashed(1)
-        assert [(e.src, e.dst) for e in net.ready_heads()] == ready_after_first
+        assert [(e.src, e.dst) for e in checked_ready_view(net)] == ready_after_first
         assert ready_after_first == [(0, 2)]
         # Messages to the crashed process stay queued (reliability).
         assert net.undelivered == 2
         assert net.mark_recovered(1) == []
-        assert [(e.src, e.dst) for e in net.ready_heads()] == [(0, 1), (0, 2)]
+        assert [(e.src, e.dst) for e in checked_ready_view(net)] == [(0, 1), (0, 2)]
 
     def test_ready_heads_order_stable(self):
         # The scheduler's candidate list is (src, dst)-lexicographic no
@@ -99,16 +100,16 @@ class TestNetwork:
         net = Network(4)
         for src, dst in [(3, 0), (1, 2), (0, 3), (2, 1), (0, 1)]:
             net.send(src, dst, _payload(), send_round=0)
-        keys = [(e.src, e.dst) for e in net.ready_heads()]
+        keys = [(e.src, e.dst) for e in checked_ready_view(net)]
         assert keys == sorted(keys)
         # Delivering one head keeps the rest in the same relative order.
-        net.deliver(net.ready_heads()[0])
-        keys_after = [(e.src, e.dst) for e in net.ready_heads()]
+        net.deliver(checked_ready_view(net)[0])
+        keys_after = [(e.src, e.dst) for e in checked_ready_view(net)]
         assert keys_after == [k for k in keys if k != (0, 1)]
 
 
 class TestReadyHeadsView:
-    """The lazy view (hot-loop path) mirrors the eager oracle exactly."""
+    """The lazy view (hot-loop path) mirrors the full-scan oracle exactly."""
 
     def _filled_net(self, n=4, seed=3):
         import random
@@ -125,12 +126,12 @@ class TestReadyHeadsView:
     def test_view_matches_oracle_elementwise(self):
         net = self._filled_net()
         view = net.ready_view()
-        eager = net.ready_heads()
-        assert len(view) == len(eager)
-        assert list(view) == eager
-        for i in range(len(eager)):
-            assert view[i] is eager[i]
-        assert view[1:3] == eager[1:3]
+        oracle = ready_heads(net)
+        assert len(view) == len(oracle)
+        assert list(view) == oracle
+        for i in range(len(oracle)):
+            assert view[i] is oracle[i]
+        assert view[1:3] == oracle[1:3]
 
     def test_view_is_live_through_mutations(self):
         import random
@@ -143,14 +144,14 @@ class TestReadyHeadsView:
         for step in range(30):
             if not net.has_ready:
                 break
-            assert list(view) == net.ready_heads()
+            assert list(view) == ready_heads(net)
             env = view[rng.randrange(len(view))]
             net.deliver(env)
             if step == 5:
                 net.send(0, 1, _payload(99), send_round=1)
             if step == 10:
                 net.mark_crashed(2)
-        assert list(view) == net.ready_heads()
+        assert list(view) == ready_heads(net)
 
     def test_crash_removes_inbound_from_view(self):
         net = Network(3)
@@ -171,4 +172,4 @@ class TestReadyHeadsView:
         net.deliver(view[0])
         # Channel still non-empty: stays in the view with its new head.
         assert len(view) == 1
-        assert list(view) == net.ready_heads()
+        assert list(view) == ready_heads(net)

@@ -1,9 +1,11 @@
 """Unit tests for the process shell (crash interception, accounting)."""
 
+from repro.geometry.polytope import ConvexPolytope
 from repro.runtime.faults import CrashSpec
 from repro.runtime.messages import InputTuple, RoundMessage, SVInit
 from repro.runtime.network import Network
 from repro.runtime.process import ProcessShell, ProtocolCore
+from tests.oracles.network import checked_ready_view
 
 
 class FakeCore(ProtocolCore):
@@ -39,7 +41,7 @@ def _sv(i=0):
 
 
 def _rm(t):
-    return RoundMessage(vertices=((0.0,),), sender=0, round_index=t)
+    return RoundMessage(state=ConvexPolytope.singleton([0.0]), sender=0, round_index=t)
 
 
 class TestDispatch:
@@ -48,14 +50,14 @@ class TestDispatch:
         core = FakeCore(0, [[(None, _sv())]])
         shell = ProcessShell(core, net)
         shell.start()
-        heads = net.ready_heads()
+        heads = checked_ready_view(net)
         assert sorted(env.dst for env in heads) == [1, 2, 3]
 
     def test_unicast(self):
         net = Network(3)
         core = FakeCore(0, [[(2, _sv())]])
         ProcessShell(core, net).start()
-        heads = net.ready_heads()
+        heads = checked_ready_view(net)
         assert [env.dst for env in heads] == [2]
 
     def test_send_round_stamp(self):
@@ -63,7 +65,7 @@ class TestDispatch:
         core = FakeCore(0, [[(1, _sv())]])
         core.set_round(3)
         ProcessShell(core, net).start()
-        env = net.ready_heads()[0]
+        env = checked_ready_view(net)[0]
         assert env.send_round == 3
 
 
@@ -82,7 +84,7 @@ class TestCrashSpec:
         shell = ProcessShell(core, net, crash_spec=CrashSpec(0, after_sends=2))
         shell.start()
         assert shell.crashed
-        heads = net.ready_heads()
+        heads = checked_ready_view(net)
         assert sorted(env.dst for env in heads) == [1, 2]  # ascending prefix
 
     def test_crash_in_later_round(self):
