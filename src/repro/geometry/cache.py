@@ -152,7 +152,6 @@ class LruCache:
         self.maxsize = maxsize
         self.name = name
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -175,7 +174,6 @@ class LruCache:
         data[key] = value
         while len(data) > self.maxsize:
             data.popitem(last=False)
-            self.evictions += 1
 
     def clear(self) -> None:
         self._data.clear()

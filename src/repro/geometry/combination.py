@@ -32,13 +32,6 @@ from .polytope import ConvexPolytope
 #: relative to the coordinate scales used in the library.
 _NEGLIGIBLE_WEIGHT = 1e-15
 
-#: Candidate-product block size for one pairwise Minkowski step.  At or
-#: below this size the full product is materialized and hulled in one
-#: shot (the historical path); above it the product is folded into a
-#: running hull block by block, so the peak intermediate array is bounded
-#: by roughly this many points instead of ``|acc| * |term|``.
-_PAIR_BLOCK = 2048
-
 #: Safety cap on the candidate-product size of one pairwise Minkowski
 #: step; a larger product raises ``MemoryError``.
 MAX_INTERMEDIATE_VERTICES = 100_000
@@ -129,17 +122,13 @@ def _combine_minkowski(
 
 
 def _minkowski_pair_hull(acc: np.ndarray, term: np.ndarray, dim: int) -> np.ndarray:
-    """Hull of ``{a + t : a in acc, t in term}`` without the full product.
+    """Hull vertices of ``{a + t : a in acc, t in term}``.
 
-    The candidate product has ``|acc| * |term|`` points, but almost all of
-    them are interior: the true Minkowski-sum vertex count is bounded by
-    ``|acc| + |term|`` in the plane.  Small products (the common case for
-    Algorithm CC's per-round combinations) are materialized whole; large
-    ones are folded block by block into a *running hull*, which prunes the
-    dominated sums of each block before the next block is generated, so
-    peak memory stays ~``_PAIR_BLOCK`` points instead of the full product.
-    :data:`MAX_INTERMEDIATE_VERTICES` guards the total candidate-product
-    size.
+    The candidate product has ``|acc| * |term|`` points, almost all of
+    them interior: the true Minkowski-sum vertex count is bounded by
+    ``|acc| + |term|`` in the plane.  The product is materialized whole
+    and hulled in one shot; :data:`MAX_INTERMEDIATE_VERTICES` caps its
+    size, and with it the array's memory.
     """
     total = acc.shape[0] * term.shape[0]
     PERF.minkowski_pairs += 1
@@ -149,20 +138,8 @@ def _minkowski_pair_hull(acc: np.ndarray, term: np.ndarray, dim: int) -> np.ndar
             f"Minkowski intermediate of {total} candidate vertices "
             f"exceeds the safety cap {MAX_INTERMEDIATE_VERTICES}"
         )
-    if total <= _PAIR_BLOCK:
-        sums = (acc[:, None, :] + term[None, :, :]).reshape(-1, dim)
-        return hull_vertices(sums)
-    rows_per_block = max(1, _PAIR_BLOCK // term.shape[0])
-    running: np.ndarray | None = None
-    for start in range(0, acc.shape[0], rows_per_block):
-        chunk = acc[start : start + rows_per_block]
-        block = (chunk[:, None, :] + term[None, :, :]).reshape(-1, dim)
-        if running is None:
-            running = hull_vertices(block)
-        else:
-            running = hull_vertices(np.vstack([running, block]))
-    assert running is not None  # acc is never empty here
-    return running
+    sums = (acc[:, None, :] + term[None, :, :]).reshape(-1, dim)
+    return hull_vertices(sums)
 
 
 def equal_weight_combination(polytopes: Sequence[ConvexPolytope]) -> ConvexPolytope:

@@ -26,9 +26,6 @@ MEMBERSHIP_TOL: float = 1e-7
 #: feasible region is treated as lower-dimensional (degenerate).
 DEGENERACY_TOL: float = 1e-9
 
-#: Relative tolerance for volume comparisons.
-VOLUME_RTOL: float = 1e-6
-
 #: Tolerance for singular values when estimating affine rank.
 RANK_TOL: float = 1e-8
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from .channel import Channel
 from .faults import FaultPlan
 from .messages import Envelope
 from .network import Network
@@ -42,22 +43,20 @@ class _WaveNetwork(Network):
 
     def __init__(self, n: int):
         super().__init__(n)
-        self._wave: deque[tuple[tuple[int, int], int]] = deque()
+        self._wave: deque[tuple[Channel, int]] = deque()
 
     def next(self, sched=None) -> Envelope | None:
         while True:
             while self._wave:
-                key, left = self._wave.popleft()
-                if key[1] in self._crashed_dst:
+                channel, left = self._wave.popleft()
+                if channel.dst in self._crashed_dst:
                     continue
                 if left > 1:
-                    self._wave.appendleft((key, left - 1))
-                return self.deliver(self._channels[key].head)
+                    self._wave.appendleft((channel, left - 1))
+                return self.deliver(channel.head)
             if not self._ready:
                 return None
-            self._wave.extend(
-                (key, self._channels[key].depth) for key in self._ready_sorted
-            )
+            self._wave.extend((channel, channel.depth) for channel in self._ready)
 
 
 def run_lockstep_simulation(

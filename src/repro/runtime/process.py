@@ -86,7 +86,6 @@ class ProcessShell:
         self.byzantine = byzantine
         self.crashed = False
         self.crash_fired_round: int | None = None
-        self.recovered = False
         # Execution-position send counts (used by crash triggers: "crash in
         # round r after k sends" refers to where the process *is*).
         self.sends_in_round: Counter[int] = Counter()
@@ -144,7 +143,6 @@ class ProcessShell:
             raise RuntimeError(f"process {self.pid} is not crashed")
         self.crashed = False
         self.crash_spec = None
-        self.recovered = True
         if core is not None:
             self.core = core
         if restart:

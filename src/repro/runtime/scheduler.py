@@ -3,13 +3,18 @@
 The system model places no bound on message delay; correctness proofs must
 hold for *every* delivery schedule.  Experimentally we explore that space
 with pluggable scheduler strategies.  A scheduler repeatedly picks which
-pending channel head to deliver next; per-channel FIFO order is enforced by
-the network (a scheduler only ever sees channel *heads*), matching the
-reliable-FIFO-channel assumption.
+of the ready channels delivers next, and the delivery source delivers that
+channel's head: per-channel FIFO order is enforced there, matching the
+reliable-FIFO-channel assumption.  The candidates come in ``(src, dst)``
+order, and a strategy reads nothing of them but ``src`` and ``dst``.  On
+the structural network they are the ready
+:class:`~repro.runtime.channel.Channel` objects; on the lossy fabric they
+are the links' head :class:`~repro.runtime.transport.Frame` objects.
 
 Strategies:
 
-* :class:`RandomScheduler` — uniformly random head; the baseline adversary.
+* :class:`RandomScheduler` — uniformly random ready channel; the baseline
+  adversary.
 * :class:`FifoFairScheduler` — round-robin over channels; the most
   synchronous-looking schedule (useful as a control).
 * :class:`TargetedDelayScheduler` — starves messages *from* a chosen set of
@@ -34,7 +39,7 @@ bundles (:mod:`repro.chaos`):
   has been edited (the shrinker removes segments) or exhausted.
 
 Every strategy honours :meth:`Scheduler.reset`: after a reset, the same
-instance driven by the same head sequences makes the same decisions —
+instance driven by the same candidate sequences makes the same decisions —
 the property repro bundles and seed sweeps are built on.
 """
 
@@ -49,10 +54,16 @@ from .messages import Envelope
 
 
 class Scheduler:
-    """Strategy interface: pick one of the deliverable channel heads."""
+    """Strategy interface: pick one of the ready channels."""
 
     def choose(self, heads: list[Envelope]) -> int:
-        """Return the index (into ``heads``) of the envelope to deliver."""
+        """Return the index (into ``heads``) of the channel to deliver next.
+
+        ``heads`` holds the ready channels in ``(src, dst)`` order, one
+        entry per channel; a strategy reads only ``src`` and ``dst`` of an
+        entry.  Read it before the next send or delivery: the structural
+        network hands over its live list.
+        """
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -61,7 +72,7 @@ class Scheduler:
 
 @dataclass
 class RandomScheduler(Scheduler):
-    """Deliver a uniformly random channel head (seeded)."""
+    """Deliver from a uniformly random ready channel (seeded)."""
 
     seed: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
@@ -196,8 +207,8 @@ class AdaptiveAdversaryScheduler(Scheduler):
 class ScheduleRecorder(Scheduler):
     """Record every decision of an inner scheduler as a ``(src, dst)`` pair.
 
-    Channel heads are unique per ``(src, dst)`` (the network offers one
-    head per channel), so the pair identifies the decision exactly and —
+    The candidates are unique per ``(src, dst)`` (a delivery source offers
+    each ready channel once), so the pair identifies the decision exactly and —
     unlike a raw index — stays meaningful when a shrunk decision list is
     replayed against a slightly different head set.
     """
@@ -223,8 +234,8 @@ class ReplayScheduler(Scheduler):
     Replaying an unmodified recording against the execution it came from
     matches every decision exactly, reproducing the run bit-for-bit.
     When the chaos shrinker has removed decisions (or the list runs out),
-    unmatchable entries are skipped and the fallback is the first head in
-    the network's deterministic ``(src, dst)`` order — so *every* edited
+    unmatchable entries are skipped and the fallback is the first candidate
+    in the deterministic ``(src, dst)`` order — so *every* edited
     decision list still defines exactly one execution.
     """
 

@@ -1,8 +1,8 @@
 """Deterministic run-to-completion driver for asynchronous executions.
 
 The simulator realises the asynchronous system model as a discrete-event
-loop: at every step the (adversarial) scheduler picks one pending channel
-head and the simulator delivers it.  No notion of time exists — exactly as
+loop: at every step the (adversarial) scheduler picks one ready channel
+and the simulator delivers its head.  No notion of time exists — exactly as
 in the model, only the delivery *order* matters, and the scheduler is free
 to choose any order consistent with per-channel FIFO.
 
@@ -18,7 +18,7 @@ crash and revival bookkeeping counted in application deliveries (the
 next application message comes from is the job of a *delivery source*:
 
 * :class:`~repro.runtime.network.Network` — the scheduler picks one ready
-  channel head;
+  channel, and the network delivers its head;
 * :class:`~repro.runtime.transport.TransportNetwork` — the scheduler picks
   fabric frames; acks, retransmission and parking stay inside;
 * the lockstep wave source of :mod:`repro.runtime.lockstep` — whole waves
@@ -36,7 +36,7 @@ and ``app_deliveries``.  Channels are infrastructure: a source is never
 rebuilt, so a revived process finds its channels as it left them and no
 channel state is checkpointed.
 
-Liveness and the deliverable-head set are updated at the single place
+Liveness and the ready-channel list are updated at the single place
 they can change — a crash fired by the shell that just processed an
 event — instead of being recomputed from all ``n`` shells and all
 ``n * (n - 1)`` channels on every delivery.

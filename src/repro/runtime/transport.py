@@ -50,10 +50,10 @@ has partition windows is resolved once, when the fabric is built.
 holds a frame, kept sorted by ``(src, dst)``: a link joins it when its
 queue fills and leaves it when its queue empties, and partition windows
 are checked only on links that have any.  Readiness is still tested on
-every step; a ready set maintained incrementally, as
-:meth:`~repro.runtime.network.Network.ready_view` does for the
-structural network, was prototyped and did not pay at n=8.  Frames are
-slotted and copied by one constructor call (:meth:`Frame.copy`).
+every step; a ready list maintained incrementally, as the structural
+:class:`~repro.runtime.network.Network` keeps one, was prototyped and did
+not pay at n=8.  Frames are slotted and copied by one constructor call
+(:meth:`Frame.copy`).
 Retransmission timers sit in a heap of ``(next_retry, link_rank, seq,
 link)``; :meth:`TransportNetwork.pump` returns at once while the earliest
 deadline lies ahead, as it does after most frames, and otherwise pops and

@@ -49,7 +49,6 @@ class TestLruCache:
         assert "a" in cache
         assert "b" not in cache
         assert "c" in cache
-        assert cache.evictions == 1
 
     def test_put_existing_key_refreshes_without_evicting(self):
         cache = LruCache(maxsize=2, name="t")
@@ -57,7 +56,6 @@ class TestLruCache:
         cache.put("b", 2)
         cache.put("a", 10)  # overwrite: no growth, "b" stays
         assert len(cache) == 2
-        assert cache.evictions == 0
         assert cache.get("a") == 10
         assert cache.get("b") == 2
 
@@ -66,16 +64,14 @@ class TestLruCache:
         for i in range(100):
             cache.put(i, i)
         assert len(cache) == 8
-        assert cache.evictions == 92
         assert all(i in cache for i in range(92, 100))
 
-    def test_clear_keeps_eviction_count(self):
+    def test_clear_empties_the_cache(self):
         cache = LruCache(maxsize=1, name="t")
         cache.put("a", 1)
         cache.put("b", 2)
         cache.clear()
         assert len(cache) == 0
-        assert cache.evictions == 1
 
     def test_rejects_nonpositive_maxsize(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.combination import (
+    MAX_INTERMEDIATE_VERTICES,
     equal_weight_combination,
     linear_combination,
     stochastic_row_combination,
@@ -16,6 +17,11 @@ from repro.geometry.polytope import ConvexPolytope
 def tri(offset=(0.0, 0.0), scale=1.0):
     base = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
     return ConvexPolytope.from_points(base * scale + np.asarray(offset))
+
+
+def regular_polygon(k, phase=0.0):
+    angles = phase + 2 * np.pi * np.arange(k) / k
+    return ConvexPolytope.from_points(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
 class TestValidateWeights:
@@ -105,6 +111,20 @@ class Test2d:
         a, b = tri(), tri((10, 0))
         heavy_b = linear_combination([a, b], [0.1, 0.9])
         assert heavy_b.centroid[0] > 8.0
+
+    def test_large_product_hulls_every_candidate(self):
+        # 60 x 60 = 3,600 candidate sums, hulled in one shot.
+        a, b = regular_polygon(60), regular_polygon(60, phase=0.01)
+        out = linear_combination([a, b], [0.5, 0.5])
+        assert out.num_vertices <= 120
+        sums = (0.5 * a.vertices[:, None, :] + 0.5 * b.vertices[None, :, :]).reshape(-1, 2)
+        assert np.max(out.violation(sums)) <= 1e-9
+
+    def test_product_above_the_cap_raises(self):
+        a, b = regular_polygon(320), regular_polygon(320, phase=0.003)
+        assert a.num_vertices * b.num_vertices > MAX_INTERMEDIATE_VERTICES
+        with pytest.raises(MemoryError):
+            linear_combination([a, b], [0.5, 0.5])
 
 
 class TestErrors:

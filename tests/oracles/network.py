@@ -1,10 +1,9 @@
-"""Full-scan reference for the structural network's ready set.
+"""Full-scan reference for the structural network's ready list.
 
-:class:`~repro.runtime.network.Network` keeps its deliverable channels
-in an incrementally maintained sorted list, which
-:meth:`~repro.runtime.network.Network.ready_view` reads.  This scan
-rebuilds the answer from the channels themselves, so a comparison checks
-that index, not just the view over it.
+:class:`~repro.runtime.network.Network` keeps its ready channels in an
+incrementally maintained list sorted by ``(src, dst)``, which it hands
+to the scheduler.  This scan rebuilds the answer from the channels
+themselves, so a comparison checks that list.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ def ready_heads(net: Network) -> list[Envelope]:
 
 
 def checked_ready_view(net: Network) -> list[Envelope]:
-    """``net.ready_view()`` as a list, after checking it against :func:`ready_heads`."""
-    view = list(net.ready_view())
-    assert view == ready_heads(net)
-    return view
+    """The heads of ``net``'s ready list, after checking them against :func:`ready_heads`."""
+    heads = [channel.head for channel in net._ready]
+    assert heads == ready_heads(net)
+    return heads

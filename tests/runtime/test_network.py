@@ -4,7 +4,8 @@ import pytest
 
 from repro.runtime.messages import InputTuple, SVInit
 from repro.runtime.network import ChannelError, Network
-from tests.oracles.network import checked_ready_view, ready_heads
+from repro.runtime.scheduler import FifoFairScheduler
+from tests.oracles.network import checked_ready_view
 
 
 def _payload(i=0):
@@ -108,68 +109,45 @@ class TestNetwork:
         assert keys_after == [k for k in keys if k != (0, 1)]
 
 
-class TestReadyHeadsView:
-    """The lazy view (hot-loop path) mirrors the full-scan oracle exactly."""
+class TestReadyList:
+    """The ready list the scheduler is handed mirrors the full-scan oracle."""
 
-    def _filled_net(self, n=4, seed=3):
-        import random
+    def test_ready_list_through_crash_and_revival(self):
+        net = Network(4)
+        for src, dst in [(3, 0), (1, 2), (0, 3), (2, 1), (0, 1), (1, 2), (0, 2), (3, 2)]:
+            net.send(src, dst, _payload(), send_round=0)
+            checked_ready_view(net)
+        # (1, 2) keeps its second message; (0, 1) empties and leaves.
+        for src, dst in [(1, 2), (0, 1)]:
+            net.deliver(net._channels[(src, dst)].head)
+            checked_ready_view(net)
+        net.mark_crashed(2)
+        assert all(env.dst != 2 for env in checked_ready_view(net))
+        # Emptying a crashed receiver's channel, sends to it (one on that
+        # empty channel) and a delivery from it leave the list alone.
+        net.deliver(net._channels[(3, 2)].head)
+        checked_ready_view(net)
+        for src in (3, 0, 1, 3):
+            net.send(src, 2, _payload(src), send_round=1)
+            assert all(env.dst != 2 for env in checked_ready_view(net))
+        net.deliver(net._channels[(2, 1)].head)
+        checked_ready_view(net)
 
-        rng = random.Random(seed)
-        net = Network(n)
-        for _ in range(20):
-            src = rng.randrange(n)
-            dst = rng.randrange(n)
-            if src != dst:
-                net.send(src, dst, _payload(), send_round=0)
-        return net
-
-    def test_view_matches_oracle_elementwise(self):
-        net = self._filled_net()
-        view = net.ready_view()
-        oracle = ready_heads(net)
-        assert len(view) == len(oracle)
-        assert list(view) == oracle
-        for i in range(len(oracle)):
-            assert view[i] is oracle[i]
-        assert view[1:3] == oracle[1:3]
-
-    def test_view_is_live_through_mutations(self):
-        import random
-
-        rng = random.Random(7)
-        net = self._filled_net()
-        view = net.ready_view()
-        # Interleave deliveries, sends, and a crash; the one view object
-        # tracks the oracle through every mutation.
-        for step in range(30):
-            if not net.has_ready:
-                break
-            assert list(view) == ready_heads(net)
-            env = view[rng.randrange(len(view))]
-            net.deliver(env)
-            if step == 5:
-                net.send(0, 1, _payload(99), send_round=1)
-            if step == 10:
-                net.mark_crashed(2)
-        assert list(view) == ready_heads(net)
-
-    def test_crash_removes_inbound_from_view(self):
-        net = Network(3)
-        net.send(0, 1, _payload(), send_round=0)
-        net.send(0, 2, _payload(), send_round=0)
-        net.mark_crashed(1)
-        view = net.ready_view()
-        assert [(e.src, e.dst) for e in view] == [(0, 2)]
-        # Sends to the crashed destination never enter the view.
-        net.send(2, 1, _payload(), send_round=0)
-        assert [(e.src, e.dst) for e in view] == [(0, 2)]
-
-    def test_queued_channel_stays_ready_after_delivery(self):
-        net = Network(2)
-        net.send(0, 1, _payload(0), send_round=0)
-        net.send(0, 1, _payload(1), send_round=0)
-        view = net.ready_view()
-        net.deliver(view[0])
-        # Channel still non-empty: stays in the view with its new head.
-        assert len(view) == 1
-        assert list(view) == ready_heads(net)
+        net.mark_recovered(2)
+        keys = [(env.src, env.dst) for env in checked_ready_view(net)]
+        assert keys == [(0, 2), (0, 3), (1, 2), (3, 0), (3, 2)]
+        assert all(net._channels[(c.src, c.dst)] is c for c in net._ready)
+        # Delivery resumes at the heads the crash interrupted.
+        seqs: dict[tuple[int, int], list[int]] = {}
+        sched = FifoFairScheduler()
+        while (env := net.next(sched)) is not None:
+            seqs.setdefault((env.src, env.dst), []).append(env.seq)
+            checked_ready_view(net)
+        assert seqs == {
+            (0, 2): [0, 1],
+            (0, 3): [0],
+            (1, 2): [1, 2],
+            (3, 0): [0],
+            (3, 2): [1, 2],
+        }
+        assert net.undelivered == 0
