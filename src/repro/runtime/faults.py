@@ -522,6 +522,10 @@ class LinkFaultSpec:
             )
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
+        # The fabric's bounded draws take integer bounds only.
+        if self.delay != int(self.delay):
+            raise ValueError(f"delay must be a whole number of steps, got {self.delay}")
+        object.__setattr__(self, "delay", int(self.delay))
         object.__setattr__(
             self,
             "partitions",

@@ -123,9 +123,11 @@ class Network:
 
     def deliver(self, env: Envelope) -> Envelope:
         channel = self._channels[(env.src, env.dst)]
-        delivered = channel.deliver_head()
-        if delivered is not env:
+        # Verify before popping: a rejected delivery leaves the channel as
+        # the caller saw it.
+        if not channel.has_pending or channel.head is not env:
             raise ChannelError("scheduler chose a non-head envelope")
+        delivered = channel.deliver_head()
         # A crashed receiver's channels are not in the ready list.
         if not channel.has_pending and env.dst not in self._crashed_dst:
             ready = self._ready

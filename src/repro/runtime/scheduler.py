@@ -40,7 +40,10 @@ bundles (:mod:`repro.chaos`):
 
 Every strategy honours :meth:`Scheduler.reset`: after a reset, the same
 instance driven by the same candidate sequences makes the same decisions —
-the property repro bundles and seed sweeps are built on.
+the property repro bundles and seed sweeps are built on.  The seeded
+strategies draw from :class:`~repro.runtime.draws.Draws` ``(seed)``: the
+numbers of ``np.random.default_rng(seed)``, taken from pre-drawn blocks
+because a decision is made on every delivery.
 """
 
 from __future__ import annotations
@@ -48,8 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .draws import Draws
 from .messages import Envelope
 
 
@@ -75,16 +77,16 @@ class RandomScheduler(Scheduler):
     """Deliver from a uniformly random ready channel (seeded)."""
 
     seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
+    _rng: Draws = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = Draws(self.seed)
 
     def choose(self, heads: list[Envelope]) -> int:
-        return int(self._rng.integers(0, len(heads)))
+        return self._rng.integers(0, len(heads))
 
 
 @dataclass
@@ -116,19 +118,19 @@ class TargetedDelayScheduler(Scheduler):
 
     slow: frozenset[int] = frozenset()
     seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
+    _rng: Draws = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.slow = frozenset(self.slow)
         self.reset()
 
     def reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = Draws(self.seed)
 
     def choose(self, heads: list[Envelope]) -> int:
         fast = [k for k, env in enumerate(heads) if env.src not in self.slow]
         pool = fast if fast else list(range(len(heads)))
-        return pool[int(self._rng.integers(0, len(pool)))]
+        return pool[self._rng.integers(0, len(pool))]
 
 
 @dataclass
@@ -142,7 +144,7 @@ class BurstyScheduler(Scheduler):
 
     seed: int = 0
     max_burst: int = 8
-    _rng: np.random.Generator = field(init=False, repr=False)
+    _rng: Draws = field(init=False, repr=False)
     _current_src: int | None = field(default=None, init=False, repr=False)
     _remaining: int = field(default=0, init=False, repr=False)
 
@@ -150,7 +152,7 @@ class BurstyScheduler(Scheduler):
         self.reset()
 
     def reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = Draws(self.seed)
         self._current_src = None
         self._remaining = 0
 
@@ -159,12 +161,12 @@ class BurstyScheduler(Scheduler):
             candidates = [k for k, env in enumerate(heads) if env.src == self._current_src]
             if candidates:
                 self._remaining -= 1
-                return candidates[int(self._rng.integers(0, len(candidates)))]
+                return candidates[self._rng.integers(0, len(candidates))]
         sources = sorted({env.src for env in heads})
-        self._current_src = sources[int(self._rng.integers(0, len(sources)))]
-        self._remaining = int(self._rng.integers(1, self.max_burst + 1)) - 1
+        self._current_src = sources[self._rng.integers(0, len(sources))]
+        self._remaining = self._rng.integers(1, self.max_burst + 1) - 1
         candidates = [k for k, env in enumerate(heads) if env.src == self._current_src]
-        return candidates[int(self._rng.integers(0, len(candidates)))]
+        return candidates[self._rng.integers(0, len(candidates))]
 
 
 @dataclass
@@ -182,14 +184,14 @@ class AdaptiveAdversaryScheduler(Scheduler):
     """
 
     seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
+    _rng: Draws = field(init=False, repr=False)
     _delivered: Counter = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = Draws(self.seed)
         self._delivered = Counter()
 
     def choose(self, heads: list[Envelope]) -> int:
@@ -198,7 +200,7 @@ class AdaptiveAdversaryScheduler(Scheduler):
         pool = [k for k, env in enumerate(heads) if env.dst != target]
         if not pool:
             pool = list(range(len(heads)))
-        pick = pool[int(self._rng.integers(0, len(pool)))]
+        pick = pool[self._rng.integers(0, len(pool))]
         self._delivered[heads[pick].dst] += 1
         return pick
 

@@ -12,8 +12,8 @@ deployment would, by layering:
    retransmission recovers), or blackholed during partition intervals,
    according to a
    :class:`~repro.runtime.faults.LinkFaultSpec` and a deterministic
-   per-link RNG stream (``default_rng([seed, src, dst])``), so every
-   execution is bit-reproducible per seed.
+   per-link RNG stream (the draws of ``default_rng([seed, src, dst])``),
+   so every execution is bit-reproducible per seed.
 
 2. :class:`TransportNetwork` — a reliable-delivery transport over the
    fabric: per-channel sequence numbers, cumulative acks, retransmission
@@ -45,7 +45,10 @@ clock exceeds the delivery budget — exponential backoff reaches any
 budget in logarithmically many retries, so the abort is prompt.
 
 Cost per fabric frame: whether each link rolls faults and whether it
-has partition windows is resolved once, when the fabric is built.
+has partition windows is resolved once, when the fabric is built.  The
+fault rolls read :class:`~repro.runtime.draws.Draws`, which returns
+numpy's ``Generator`` numbers from pre-drawn blocks of raw words, at a
+fraction of a ``Generator`` call's cost.
 :meth:`LossyFabric.ready_frames` walks one list of the links whose queue
 holds a frame, kept sorted by ``(src, dst)``: a link joins it when its
 queue fills and leaves it when its queue empties, and partition windows
@@ -54,14 +57,20 @@ every step; a ready list maintained incrementally, as the structural
 :class:`~repro.runtime.network.Network` keeps one, was prototyped and did
 not pay at n=8.  Frames are slotted and copied by one constructor call
 (:meth:`Frame.copy`).
-Retransmission timers sit in a heap of ``(next_retry, link_rank, seq,
-link)``; :meth:`TransportNetwork.pump` returns at once while the earliest
-deadline lies ahead, as it does after most frames, and otherwise pops and
-fires the due timers in ``(link_rank, seq)`` order: the order links
-first carried a reliable frame, then sequence number.  That order is
-load-bearing: each retransmission moves ``in_flight``, which the next
-timeout reads.  ``tests/oracles/transport.py`` keeps the full scans both
-orders must match.
+Retransmission timers sit in a heap of ``(clock, link_rank, seq,
+link)``.  A timer's deadline needs its seeded jitter, and
+:func:`backoff_delay` seeds a PRNG from a string (SHA-512) for each one,
+so an armed timer is first keyed by the earliest clock it could fire, its
+jitter at the floor of 0.5.  Only when that entry comes up on top of the
+heap at or after that clock is its jitter computed and the entry put
+back under its deadline; a frame acked before then never pays for it.
+:meth:`TransportNetwork.pump` returns at once while the top entry lies
+ahead, as it does after most frames, and otherwise pops and fires the
+due timers in ``(link_rank, seq)`` order: the order links first carried
+a reliable frame, then sequence number.  That order is load-bearing:
+each retransmission moves ``in_flight``, which the next timeout reads.
+``tests/oracles/transport.py`` keeps the full scans both orders must
+match; its timer scans compute every deadline themselves.
 """
 
 from __future__ import annotations
@@ -77,6 +86,7 @@ from typing import Callable
 
 from ..geometry.cache import PERF
 from .channel import ChannelError
+from .draws import Draws
 from .faults import FaultPlan, LinkFaultPlan, LinkFaultSpec
 from .messages import Payload
 from .process import ProtocolCore
@@ -225,7 +235,7 @@ class LossyFabric:
         # scan order of ready_frames.  Each entry holds the link's queue
         # and its partition windows.
         self._scan: list[tuple[tuple[int, int], list[Frame], LinkFaultSpec | None]] = []
-        self._rngs: dict[tuple[int, int], object] = {}
+        self._rngs: dict[tuple[int, int], Draws] = {}
         self._order = 0
         # Finite heal times of every partition interval on every link,
         # sorted; crossing one while advancing the clock counts a heal.
@@ -239,13 +249,10 @@ class LossyFabric:
             reverse=True,
         )
 
-    def _rng(self, key: tuple[int, int]):
+    def _rng(self, key: tuple[int, int]) -> Draws:
         rng = self._rngs.get(key)
         if rng is None:
-            import numpy as np
-
-            rng = np.random.default_rng([self.plan.seed, *key])
-            self._rngs[key] = rng
+            rng = self._rngs[key] = Draws([self.plan.seed, *key])
         return rng
 
     def send(self, frame: Frame) -> bool:
@@ -276,14 +283,14 @@ class LossyFabric:
             fr = frame if copy_index == 0 else frame.copy()
             fr.release = self.clock
             if spec.delay:
-                fr.release += int(rng.integers(0, spec.delay + 1))
+                fr.release += rng.integers(0, spec.delay + 1)
             if spec.reorder and rng.random() < spec.reorder:
-                fr.release += int(rng.integers(1, 3 * (spec.delay + 1) + 1))
+                fr.release += rng.integers(1, 3 * (spec.delay + 1) + 1)
             # Corruption roll last, gated on the axis being active, so
             # links without a corrupt rate consume the exact same RNG
             # stream as before the axis existed (replay compatibility).
             if spec.corrupt and rng.random() < spec.corrupt:
-                flip = 1 + int(rng.integers(0, 1 << 30))
+                flip = 1 + rng.integers(0, 1 << 30)
                 fr.checksum = (fr.checksum or 0) ^ flip
             self._enqueue(fr)
         return True
@@ -360,11 +367,19 @@ class LossyFabric:
 
 @dataclass(slots=True)
 class _Pending:
-    """Sender-side retransmission state for one unacknowledged frame."""
+    """Sender-side retransmission state for one unacknowledged frame.
+
+    The timer of ``attempt`` was armed at clock ``armed_at`` with timeout
+    base ``base``; its deadline is ``armed_at + max(1, ceil(backoff_delay(
+    ..., attempt, base)))``, computed (``deadline``) only when the timer
+    could fire (:meth:`TransportNetwork._next_retry`), and None until then.
+    """
 
     frame: Frame
     attempt: int
-    next_retry: int
+    armed_at: int = 0
+    base: float = 0.0
+    deadline: int | None = None
 
 
 class TransportNetwork:
@@ -397,11 +412,12 @@ class TransportNetwork:
         self.messages_delivered = 0
         self._send_seq: dict[tuple[int, int], int] = {}
         self._unacked: dict[tuple[int, int], dict[int, _Pending]] = {}
-        # Retransmission timers: a heap of (next_retry, link_rank, seq,
-        # link), where link_rank is the order in which the link entered
-        # ``_unacked``.  An entry is live while its frame is unacked and
-        # still due at that next_retry; acked frames leave dead entries
-        # behind, which are skipped when they surface.
+        # Retransmission timers: a heap of (clock, link_rank, seq, link),
+        # where link_rank is the order in which the link entered
+        # ``_unacked``.  The clock is the deadline once resolved and, before
+        # that, the earliest clock the timer could fire (see _arm).  Acked
+        # frames leave dead entries behind, which are dropped when they
+        # surface.
         self._link_rank: dict[tuple[int, int], int] = {}
         self._timers: list[tuple[int, int, int, tuple[int, int]]] = []
         self._expected: dict[tuple[int, int], int] = {}
@@ -444,9 +460,8 @@ class TransportNetwork:
             if pending is None:
                 pending = self._unacked[link] = {}
                 self._link_rank[link] = len(self._link_rank)
-            next_retry = self.fabric.clock + self._rto(link, seq, 1)
-            pending[seq] = _Pending(frame=frame, attempt=1, next_retry=next_retry)
-            heapq.heappush(self._timers, (next_retry, self._link_rank[link], seq, link))
+            entry = pending[seq] = _Pending(frame, 1)
+            self._arm(entry, self._link_rank[link], seq, link)
         self.fabric.send(frame.copy())
 
     @property
@@ -618,18 +633,26 @@ class TransportNetwork:
         self.fabric.send(ack)
 
     # -- timers ------------------------------------------------------------
-    def _rto(self, link: tuple[int, int], seq: int, attempt: int) -> int:
-        """Retransmission timeout (fabric steps) before retry ``attempt + 1``.
+    def _arm(self, entry: _Pending, rank: int, seq: int, link: tuple[int, int]) -> None:
+        """Start the timer of ``entry.attempt``; its jitter waits until it can fire.
 
-        The base adapts to the current fabric queue depth: the clock
-        advances one step per frame delivery, so a frame legitimately
-        waits ~in_flight steps before its turn — a fixed base would
-        retransmit healthy traffic.  The adaptation stays deterministic:
-        ``in_flight`` is itself a pure function of the execution prefix.
+        The timeout is ``backoff_delay`` of the base ``RTO_BASE + 2 *
+        in_flight``, captured now.  The base adapts to the current fabric
+        queue depth: the clock advances one step per frame delivery, so a
+        frame legitimately waits ~in_flight steps before its turn — a
+        fixed base would retransmit healthy traffic.  The adaptation stays
+        deterministic: ``in_flight`` is itself a pure function of the
+        execution prefix.  The heap gets the earliest clock the timer
+        could fire, the jitter factor at its floor of 0.5: float products
+        are monotone, so it is never later than the deadline.
         """
+        clock = self.fabric.clock
         base = RTO_BASE + 2.0 * self.fabric.in_flight
-        delay = backoff_delay(link[0], link[1], seq, attempt, base)
-        return max(1, int(math.ceil(delay)))
+        entry.armed_at = clock
+        entry.base = base
+        entry.deadline = None
+        earliest = clock + max(1, math.ceil(base * (2 ** (entry.attempt - 1)) * 0.5))
+        heapq.heappush(self._timers, (earliest, rank, seq, link))
 
     def pump(self) -> None:
         """Fire expired retransmission timers; enforce the clock budget."""
@@ -647,9 +670,9 @@ class TransportNetwork:
         if not self._timers or self._timers[0][0] > clock:
             return
         # Expired timers fire in (link_rank, seq) order: each send moves
-        # ``in_flight``, which the next ``_rto`` reads.
+        # ``in_flight``, which the next timer's base reads.
         due: dict[tuple[int, int], tuple[tuple[int, int], _Pending]] = {}
-        while (next_retry := self._next_retry()) is not None and next_retry <= clock:
+        while self._next_retry(clock + 1) is not None:
             _, rank, seq, link = heapq.heappop(self._timers)
             due[rank, seq] = (link, self._unacked[link][seq])
         for rank, seq in sorted(due):
@@ -657,21 +680,32 @@ class TransportNetwork:
             entry.attempt += 1
             PERF.retransmissions += 1
             self.fabric.send(entry.frame.copy(attempt=entry.attempt))
-            entry.next_retry = clock + self._rto(link, seq, entry.attempt)
-            heapq.heappush(self._timers, (entry.next_retry, rank, seq, link))
+            self._arm(entry, rank, seq, link)
 
-    def _next_retry(self) -> int | None:
-        """The earliest live retransmission deadline (None = no timer).
+    def _next_retry(self, before: float = math.inf) -> int | None:
+        """The earliest live retransmission deadline, if it is before ``before``.
 
-        Drops the dead entries (acked frames) it finds on top of the heap.
+        Works on the top of the heap only: drops the dead entries (acked
+        frames) it finds there, and resolves an entry whose earliest clock
+        is before ``before`` (one :func:`backoff_delay` call) and puts it
+        back under its deadline.  A timer that is acked before its
+        earliest clock comes up never pays for its jitter.  None when no
+        live deadline lies before ``before``.
         """
         timers = self._timers
         while timers:
-            next_retry, _rank, seq, link = timers[0]
+            at, rank, seq, link = timers[0]
             entry = self._unacked[link].get(seq)
-            if entry is not None and entry.next_retry == next_retry:
-                return next_retry
-            heapq.heappop(timers)
+            if entry is None:
+                heapq.heappop(timers)
+            elif at >= before:
+                return None
+            elif entry.deadline is None:
+                delay = backoff_delay(link[0], link[1], seq, entry.attempt, entry.base)
+                entry.deadline = entry.armed_at + max(1, math.ceil(delay))
+                heapq.heapreplace(timers, (entry.deadline, rank, seq, link))
+            else:
+                return at
         return None
 
     @property
@@ -685,10 +719,13 @@ class TransportNetwork:
         return self.reliable and self.total_unacked > 0
 
     def advance_idle(self) -> None:
-        """Nothing deliverable now: jump the clock to the next event."""
-        candidates = [
-            t for t in (self.fabric.next_release(), self._next_retry()) if t is not None
-        ]
+        """Nothing deliverable now: jump the clock to the next event.
+
+        A timer that cannot fire before the next release is not resolved.
+        """
+        release = self.fabric.next_release()
+        retry = self._next_retry(math.inf if release is None else release)
+        candidates = [t for t in (release, retry) if t is not None]
         if not candidates:
             raise SimulationError("advance_idle() called with no pending work")
         self.fabric.advance_to(max(min(candidates), self.fabric.clock + 1))

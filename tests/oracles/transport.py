@@ -6,11 +6,18 @@ links whose queue holds a frame, and
 heap.  Both must reproduce these scans exactly, because frame order
 numbers and per-link RNG draws depend on the order frames are chosen and
 retransmitted in.
+
+The heap keys a timer by its earliest possible clock until it resolves
+the jitter, so the timer scans never read the heap or a stored deadline:
+they compute every unacknowledged frame's deadline from the clock and the
+timeout base its timer was armed with.
 """
 
 from __future__ import annotations
 
-from repro.runtime.transport import Frame, LossyFabric, TransportNetwork
+import math
+
+from repro.runtime.transport import Frame, LossyFabric, TransportNetwork, backoff_delay
 
 
 def busy_links(fabric: LossyFabric) -> list[tuple[int, int]]:
@@ -33,6 +40,12 @@ def ready_frames_scan(fabric: LossyFabric) -> list[Frame]:
     return out
 
 
+def deadline(link: tuple[int, int], seq: int, entry) -> int:
+    """The clock at which an unacknowledged frame's armed timer fires."""
+    delay = backoff_delay(link[0], link[1], seq, entry.attempt, entry.base)
+    return entry.armed_at + max(1, math.ceil(delay))
+
+
 def expired_timers(transport: TransportNetwork) -> list[tuple[tuple[int, int], int]]:
     """The ``(link, seq)`` timers due now, in the order they must fire.
 
@@ -44,15 +57,15 @@ def expired_timers(transport: TransportNetwork) -> list[tuple[tuple[int, int], i
         (link, seq)
         for link, pending in transport._unacked.items()
         for seq, entry in pending.items()
-        if entry.next_retry <= clock
+        if deadline(link, seq, entry) <= clock
     ]
 
 
 def next_retry_scan(transport: TransportNetwork) -> int | None:
     """The earliest retransmission deadline over every unacknowledged frame."""
     deadlines = [
-        entry.next_retry
-        for pending in transport._unacked.values()
-        for entry in pending.values()
+        deadline(link, seq, entry)
+        for link, pending in transport._unacked.items()
+        for seq, entry in pending.items()
     ]
     return min(deadlines, default=None)

@@ -77,9 +77,25 @@ class TestNetwork:
         net.send(0, 1, _payload(), send_round=0)
         env = net.deliver(checked_ready_view(net)[0])
         net.send(0, 1, _payload(1), send_round=0)
+        (second,) = checked_ready_view(net)
         with pytest.raises(ChannelError):
             net.deliver(env)
         assert net.messages_delivered == 1
+        # The rejected delivery left the channel as it was: the second
+        # message is still its head, still undelivered and still ready.
+        assert net._channels[(0, 1)].head is second
+        assert net.undelivered == 1
+        assert checked_ready_view(net) == [second]
+        assert net.next(FifoFairScheduler()) is second
+        assert net.undelivered == 0 and checked_ready_view(net) == []
+
+    def test_delivery_from_an_empty_channel_raises(self):
+        net = Network(2)
+        net.send(0, 1, _payload(), send_round=0)
+        env = net.deliver(checked_ready_view(net)[0])
+        with pytest.raises(ChannelError):
+            net.deliver(env)
+        assert net.messages_delivered == 1 and checked_ready_view(net) == []
 
     def test_mark_crashed_idempotent(self):
         net = Network(3)

@@ -44,6 +44,12 @@ class TestLinkFaultSpec:
         with pytest.raises(ValueError):
             LinkFaultSpec(loss=1.0)  # a fair-lossy link needs loss < 1
 
+    def test_delay_is_a_whole_number_of_steps(self):
+        assert LinkFaultSpec(delay=2.0) == LinkFaultSpec(delay=2)
+        assert type(LinkFaultSpec(delay=2.0).delay) is int
+        with pytest.raises(ValueError):
+            LinkFaultSpec(delay=2.5)
+
     def test_rejects_ill_formed_partition(self):
         with pytest.raises(ValueError):
             LinkFaultSpec(partitions=((10, 5),))

@@ -7,9 +7,13 @@ finds, ``ready_frames()`` must return exactly the heads
 retransmit exactly the ``(link, seq)`` list
 :func:`tests.oracles.transport.expired_timers` gives, in that order, and
 ``advance_idle()`` must land on the deadline the full scan computes.
+The oracles compute every deadline themselves; the heap may key a timer
+no later than its deadline, and computes a jitter only for a timer that
+can fire (``test_jitter_only_for_timers_that_can_fire``).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from repro.runtime.transport import (
 )
 from tests.oracles.transport import (
     busy_links,
+    deadline,
     expired_timers,
     next_retry_scan,
     ready_frames_scan,
@@ -48,13 +53,20 @@ PLANS = {
 
 
 class CheckedTransport(TransportNetwork):
-    """A transport that checks both orders against the oracles as it runs."""
+    """A transport that checks both orders against the oracles as it runs.
+
+    It also records each armed timer's earliest clock and the clock at
+    which each timer's frame was acked, both by ``(src, dst, seq,
+    attempt)``.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.scans = 0
         self.withheld = 0
         self.fired: list[tuple[tuple[int, int], int]] = []
+        self.armed: dict[tuple[int, int, int, int], int] = {}
+        self.acked_at: dict[tuple[int, int, int, int], int] = {}
         fabric = self.fabric
         scan = fabric.ready_frames
 
@@ -77,6 +89,10 @@ class CheckedTransport(TransportNetwork):
     def pump(self):
         if self.fabric.clock > self.clock_budget:
             return super().pump()  # raises the budget abort
+        # A live timer is never keyed after its deadline.
+        for at, _rank, seq, link in self._timers:
+            entry = self._unacked[link].get(seq)
+            assert entry is None or at <= deadline(link, seq, entry)
         expected = expired_timers(self) if self.reliable else []
         fired = []
         send = self.fabric.send
@@ -92,6 +108,19 @@ class CheckedTransport(TransportNetwork):
             del self.fabric.send
         assert fired == expected
         self.fired += fired
+
+    def _arm(self, entry, rank, seq, link):
+        super()._arm(entry, rank, seq, link)
+        scaled = entry.base * (2 ** (entry.attempt - 1)) * 0.5
+        self.armed[(*link, seq, entry.attempt)] = entry.armed_at + max(1, math.ceil(scaled))
+
+    def _on_ack(self, frame):
+        pending = self._unacked.get((frame.dst, frame.src), {})
+        before = {seq: entry.attempt for seq, entry in pending.items()}
+        super()._on_ack(frame)
+        for seq, attempt in before.items():
+            if seq not in pending:
+                self.acked_at[(frame.dst, frame.src, seq, attempt)] = self.fabric.clock
 
     def advance_idle(self):
         deadlines = [
@@ -170,6 +199,50 @@ def test_timer_heap_skips_acked_and_rescheduled_entries():
     assert ((0, 1), 0) not in fired and ((0, 1), 1) not in fired
     assert fired == {((0, 1), 2)} | {(link, seq) for link in ((2, 1), (0, 2)) for seq in range(3)}
     assert len(net.fired) > len(fired)  # rescheduled timers fired again
+
+
+def test_jitter_only_for_timers_that_can_fire(checked, monkeypatch):
+    # The spy sees only the transport's calls: the oracles hold their own
+    # reference to backoff_delay.
+    computed = []
+    real = transport_module.backoff_delay
+
+    def spy(src, dst, seq, attempt, base):
+        computed.append((src, dst, seq, attempt))
+        return real(src, dst, seq, attempt, base)
+
+    monkeypatch.setattr(transport_module, "backoff_delay", spy)
+    report = run_transport_simulation(
+        _cores(seed=2), None, RandomScheduler(seed=7), link_faults=PLANS["lossy"]
+    )
+    (net,) = checked
+    assert report.perf_counters["retransmissions"] > 0
+    # Each timer's jitter is computed at most once, and only for timers.
+    assert len(set(computed)) == len(computed)
+    assert set(computed) <= set(net.armed)
+    # Many timers never pay for their jitter ...
+    assert len(computed) < len(net.armed)
+    # ... among them every one acked before its earliest clock.
+    early = [key for key, clock in net.acked_at.items() if clock < net.armed[key]]
+    assert early
+    assert not set(early) & set(computed)
+
+
+def test_frame_acked_before_its_earliest_clock_computes_no_jitter(monkeypatch):
+    # One message on a perfect link: the data frame arrives at clock 1 and
+    # its ack at clock 2, before the timer's earliest clock
+    # max(1, ceil(RTO_BASE * 0.5)) = 4, so no jitter is ever computed.
+    computed = []
+    monkeypatch.setattr(
+        transport_module, "backoff_delay", lambda *args: computed.append(args) or 1.0
+    )
+    net = TransportNetwork(2)
+    net.send(0, 1, None, 0)
+    assert net._timers[0][0] == 4
+    assert net.next(RandomScheduler(seed=0)).seq == 0
+    assert net.next(RandomScheduler(seed=0)) is None
+    assert net.total_unacked == 0 and net.fabric.clock == 2
+    assert computed == []
 
 
 def test_frame_copy_is_field_by_field():
