@@ -55,11 +55,7 @@ def bench_stable_vector_round(benchmark):
 
     def run():
         cores = [Core(i, 8, 1) for i in range(8)]
-        run_simulation(
-            cores,
-            scheduler=RandomScheduler(seed=1),
-            require_all_fault_free_decide=False,
-        )
+        run_simulation(cores, scheduler=RandomScheduler(seed=1))
         return cores
 
     cores = record_calibrated(benchmark, STEM, "stable_vector_round", run)

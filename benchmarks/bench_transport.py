@@ -76,6 +76,9 @@ def measure(
     loss_rates: tuple[float, ...], seeds: tuple[int, ...] = (0,)
 ) -> dict[str, dict]:
     rows: dict[str, dict] = {}
+    # One untimed run first, so that no timed row pays the process's
+    # one-time warm-up (scipy's lazy import, the first geometry calls).
+    _run(_inputs(seeds[0]), None, seeds[0])
 
     base_runs = []
     for seed in seeds:

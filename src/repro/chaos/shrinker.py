@@ -98,12 +98,7 @@ def _halving_candidates(value: int) -> list[int]:
     return ladder
 
 
-def shrink(
-    outcome: FuzzOutcome,
-    *,
-    max_runs: int = 300,
-    on_reduction: Callable[[str], None] | None = None,
-) -> ShrinkResult:
+def shrink(outcome: FuzzOutcome, *, max_runs: int = 300) -> ShrinkResult:
     """Delta-debug a violating outcome down to a locally-minimal one.
 
     ``max_runs`` caps the number of candidate simulations (the shrink is
@@ -149,8 +144,6 @@ def shrink(
         plan, schedule = candidate_plan, candidate_schedule
         best, progress = result, True
         reductions.append(text)
-        if on_reduction is not None:
-            on_reduction(text)
         return True
 
     def lower(

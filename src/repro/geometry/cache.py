@@ -16,8 +16,9 @@ provides the shared machinery that collapses that redundancy:
   therefore bit-identical to the unmemoized path by construction: the
   cached value was produced by the very same code on the very same bytes;
 * the :class:`PerfCounters` singleton :data:`PERF` — cheap monotonic
-  counters (hull calls, cache hits/misses, LP solves, Minkowski candidate
-  counts, depth fast-path routing and candidate-halfspace tallies)
+  counters (hull calls, cache calls and hits, LP solves, Minkowski
+  candidate counts, depth fast-path routing and candidate-halfspace
+  tallies)
   incremented by the geometry hot paths and surfaced by the simulator
   report, the experiment engine, the CLI and the benchmark harness.
 
@@ -55,25 +56,21 @@ class PerfCounters:
     hull_calls: int = 0
     subset_intersection_calls: int = 0
     subset_intersection_cache_hits: int = 0
-    subset_intersection_cache_misses: int = 0
     subset_fast_path_hits: int = 0
     depth_halfspace_candidates: int = 0
     depth_halfspaces_kept: int = 0
     combination_calls: int = 0
     combination_cache_hits: int = 0
-    combination_cache_misses: int = 0
     # Always 0: round messages carry the sender's polytope, so nothing is
     # interned.  Kept because perfbench/run.py reads both by name.
     polytope_intern_hits: int = 0
     polytope_intern_misses: int = 0
     lp_solves: int = 0
-    minkowski_pairs: int = 0
     minkowski_candidates: int = 0
     # Hausdorff bound-and-prune counters (repro.geometry.hausdorff): pairs
-    # evaluated, pairs and vertices pruned, and distinct members after dedup.
+    # evaluated, pairs pruned, and distinct members after dedup.
     batch_hausdorff_pairs: int = 0
     batch_hausdorff_pair_prunes: int = 0
-    batch_hausdorff_vertex_prunes: int = 0
     batch_hausdorff_dedup_groups: int = 0
     # Transport-layer counters (repro.runtime.transport): incremented by
     # the lossy fabric and reliable-delivery layer, surfaced through
@@ -228,8 +225,9 @@ def memoized_polytope(
     """``compute()``, served from ``cache`` when ``key`` is present.
 
     On a miss the result of ``compute()`` is stored under ``key``.
-    ``cache.name`` names the counters: ``<name>_calls`` counts every call,
-    ``<name>_cache_hits`` and ``<name>_cache_misses`` the LRU outcome.
+    ``cache.name`` names the counters: ``<name>_calls`` counts every call
+    and ``<name>_cache_hits`` the calls served from the LRU (the misses
+    are the difference).
     """
     name = cache.name
     _bump(f"{name}_calls")
@@ -237,7 +235,6 @@ def memoized_polytope(
     if cached is not None:
         _bump(f"{name}_cache_hits")
         return cached
-    _bump(f"{name}_cache_misses")
     result = compute()
     cache.put(key, result)
     return result

@@ -131,7 +131,6 @@ def _minkowski_pair_hull(acc: np.ndarray, term: np.ndarray, dim: int) -> np.ndar
     size, and with it the array's memory.
     """
     total = acc.shape[0] * term.shape[0]
-    PERF.minkowski_pairs += 1
     PERF.minkowski_candidates += total
     if total > MAX_INTERMEDIATE_VERTICES:
         raise MemoryError(

@@ -115,9 +115,8 @@ def directed_hausdorff(source: ConvexPolytope, target: ConvexPolytope) -> float:
     margin = PRUNE_MARGIN * scale
     one_d = source.dim == 1
     worst = 0.0
-    for rank, idx in enumerate(order):
+    for idx in order:
         if bounds[idx] <= worst - margin:
-            PERF.batch_hausdorff_vertex_prunes += order.size - rank
             break
         vertex = src[idx]
         gap = project_onto_hull(vertex, tgt)[0] - vertex

@@ -7,7 +7,7 @@ execution traces.
 """
 
 from .faults import CrashSpec, FaultPlan, LinkFaultPlan, LinkFaultSpec
-from .lockstep import run_lockstep_consensus, run_lockstep_simulation
+from .lockstep import run_lockstep_consensus
 from .messages import (
     Envelope,
     InputTuple,
@@ -74,7 +74,6 @@ __all__ = [
     "default_scheduler",
     "run_transport_simulation",
     "run_lockstep_consensus",
-    "run_lockstep_simulation",
     "freeze_point",
     "run_simulation",
 ]

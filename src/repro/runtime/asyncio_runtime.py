@@ -29,8 +29,7 @@ import numpy as np
 
 from .faults import FaultPlan
 from .messages import Envelope, Payload
-from .process import ProtocolCore
-from .simulator import SimulationError, SimulationReport, _default_max_steps, _drive
+from .simulator import SimulationError, _default_max_steps, _drive
 
 #: Wall-clock seconds without an arrival before a run is declared stuck.
 STALL_TIMEOUT = 120.0
@@ -147,35 +146,6 @@ class AsyncioNetwork:
         self._loop.close()
 
 
-def run_asyncio_simulation(
-    cores: list[ProtocolCore],
-    fault_plan: FaultPlan | None = None,
-    *,
-    seed: int = 0,
-    max_delay: float = 0.001,
-    require_all_fault_free_decide: bool = True,
-    checkpoint_store=None,
-    core_factory=None,
-) -> SimulationReport:
-    """Drive the cores over live forwarder timers until quiescence.
-
-    Mirrors :func:`repro.runtime.simulator.run_simulation`'s contract and
-    report format; accepts the same cores and fault plans.
-    """
-    n = len(cores)
-    with closing(AsyncioNetwork(n, seed=seed, max_delay=max_delay)) as source:
-        return _drive(
-            cores,
-            fault_plan,
-            source,
-            None,
-            max_steps=_default_max_steps(n),
-            require_all_fault_free_decide=require_all_fault_free_decide,
-            checkpoint_store=checkpoint_store,
-            core_factory=core_factory,
-        )
-
-
 def run_asyncio_consensus(
     inputs,
     f: int,
@@ -185,7 +155,6 @@ def run_asyncio_consensus(
     seed: int = 0,
     max_delay: float = 0.001,
     input_bounds: tuple[float, float] | None = None,
-    checkpoint_store=None,
     algorithm: str = "cc",
 ):
     """Full Algorithm CC (or BCC) run on the asyncio runtime; returns a CCResult."""
@@ -197,12 +166,15 @@ def run_asyncio_consensus(
         input_bounds=input_bounds,
         algorithm=algorithm,
     )
-    report = run_asyncio_simulation(
-        run.cores,
-        fault_plan=run.plan,
-        seed=seed,
-        max_delay=max_delay,
-        checkpoint_store=checkpoint_store,
-        core_factory=run.core_factory,
-    )
+    n = len(run.cores)
+    # The loop must be closed even when the run raises.
+    with closing(AsyncioNetwork(n, seed=seed, max_delay=max_delay)) as source:
+        report = _drive(
+            run.cores,
+            run.plan,
+            source,
+            None,
+            max_steps=_default_max_steps(n),
+            core_factory=run.core_factory,
+        )
     return run.result(report, seed=seed, scheduler_name="asyncio")

@@ -28,8 +28,7 @@ from .channel import Channel
 from .faults import FaultPlan
 from .messages import Envelope
 from .network import Network
-from .process import ProtocolCore
-from .simulator import SimulationReport, _default_max_steps, _drive
+from .simulator import _default_max_steps, _drive
 
 
 class _WaveNetwork(Network):
@@ -59,32 +58,6 @@ class _WaveNetwork(Network):
             self._wave.extend((channel, channel.depth) for channel in self._ready)
 
 
-def run_lockstep_simulation(
-    cores: list[ProtocolCore],
-    fault_plan: FaultPlan | None = None,
-    *,
-    require_all_fault_free_decide: bool = True,
-    checkpoint_store=None,
-    core_factory=None,
-) -> SimulationReport:
-    """Drive the cores in synchronous delivery waves.
-
-    Mirrors :func:`repro.runtime.simulator.run_simulation`'s contract and
-    report format, including the crash-recovery extension
-    (``checkpoint_store`` / ``core_factory``).
-    """
-    return _drive(
-        cores,
-        fault_plan,
-        _WaveNetwork(len(cores)),
-        None,
-        max_steps=_default_max_steps(len(cores)),
-        require_all_fault_free_decide=require_all_fault_free_decide,
-        checkpoint_store=checkpoint_store,
-        core_factory=core_factory,
-    )
-
-
 def run_lockstep_consensus(
     inputs,
     f: int,
@@ -92,7 +65,6 @@ def run_lockstep_consensus(
     *,
     fault_plan: FaultPlan | None = None,
     input_bounds: tuple[float, float] | None = None,
-    checkpoint_store=None,
     algorithm: str = "cc",
 ):
     """Full Algorithm CC (or BCC) run in lockstep; returns a CCResult."""
@@ -104,10 +76,13 @@ def run_lockstep_consensus(
         input_bounds=input_bounds,
         algorithm=algorithm,
     )
-    report = run_lockstep_simulation(
+    n = len(run.cores)
+    report = _drive(
         run.cores,
-        fault_plan=run.plan,
-        checkpoint_store=checkpoint_store,
+        run.plan,
+        _WaveNetwork(n),
+        None,
+        max_steps=_default_max_steps(n),
         core_factory=run.core_factory,
     )
     return run.result(report, seed=0, scheduler_name="lockstep")

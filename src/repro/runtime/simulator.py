@@ -14,18 +14,24 @@ live.  It owns what those executions share: the process shells (with their
 Byzantine engines and checkpoint store), the
 :class:`~repro.runtime.recovery.RecoveryManager` and its quiescence rule,
 crash and revival bookkeeping counted in application deliveries (the
-``recover_at`` unit), the termination check and the report.  Where the
-next application message comes from is the job of a *delivery source*:
+``recover_at`` unit), the termination check and the report.  Termination
+is always demanded: a run in which a process that never crashed ends
+undecided raises.  Where the next application message comes from is the
+job of a *delivery source*, and each runner hands its own to the loop:
 
-* :class:`~repro.runtime.network.Network` — the scheduler picks one ready
-  channel, and the network delivers its head;
-* :class:`~repro.runtime.transport.TransportNetwork` — the scheduler picks
-  fabric frames; acks, retransmission and parking stay inside;
-* the lockstep wave source of :mod:`repro.runtime.lockstep` — whole waves
+* :class:`~repro.runtime.network.Network` (:func:`run_simulation`) — the
+  scheduler picks one ready channel, and the network delivers its head;
+* :class:`~repro.runtime.transport.TransportNetwork`
+  (:func:`~repro.runtime.transport.run_transport_simulation`) — the
+  scheduler picks fabric frames; acks, retransmission and parking stay
+  inside;
+* the lockstep wave source
+  (:func:`~repro.runtime.lockstep.run_lockstep_consensus`) — whole waves
   of channel heads in a fixed order, no scheduler at all;
-* :class:`~repro.runtime.asyncio_runtime.AsyncioNetwork` — per-channel
-  asyncio forwarders with seeded real-time delays; arrival order, not a
-  scheduler, picks the next envelope.
+* :class:`~repro.runtime.asyncio_runtime.AsyncioNetwork`
+  (:func:`~repro.runtime.asyncio_runtime.run_asyncio_consensus`) —
+  per-channel asyncio forwarders with seeded real-time delays; arrival
+  order, not a scheduler, picks the next envelope.
 
 A source is the shells' network (``n``, ``send``) plus ``next(sched)``
 (the next envelope, already taken off its channel, or ``None`` at
@@ -64,7 +70,7 @@ class SimulationReport:
 
     ``perf_counters`` holds the deltas of every
     :class:`~repro.geometry.cache.PerfCounters` field attributed to this
-    run (hull calls, cache hits/misses, LP solves, transport and recovery
+    run (hull calls, cache calls and hits, LP solves, transport and recovery
     tallies).
     """
 
@@ -73,7 +79,6 @@ class SimulationReport:
     messages_delivered: int
     decided: list[int]
     crashed: list[int]
-    undecided_alive: list[int]
     perf_counters: dict[str, int] = field(default_factory=dict)
     #: Pids reanimated by the crash-recovery machinery, in revival order.
     #: Empty for crash-stop plans (the historical report is unchanged).
@@ -113,25 +118,21 @@ def _build_shells(cores: list[ProtocolCore], plan: FaultPlan, network, store):
 
 
 def _finish_report(
-    shells: list[ProcessShell],
-    plan: FaultPlan,
-    *,
-    require_all_fault_free_decide: bool,
-    **counters,
+    shells: list[ProcessShell], plan: FaultPlan, **counters
 ) -> SimulationReport:
     """Termination check, report assembly and the trace hand-off."""
     decided = [s.pid for s in shells if s.done]
     crashed = [s.pid for s in shells if s.crashed]
     # Byzantine pids are exempt from the termination demand: an adversary
     # sabotaging its own broadcasts can legitimately never decide.
-    undecided_alive = [
+    undecided = [
         s.pid for s in shells
         if s.alive and not s.done and not s.ever_crashed
         and s.pid not in plan.byzantine
     ]
-    if require_all_fault_free_decide and undecided_alive:
+    if undecided:
         raise SimulationError(
-            f"non-crashed processes ended undecided: {undecided_alive}"
+            f"non-crashed processes ended undecided: {undecided}"
         )
     # Propagate shell accounting into cores that carry a trace.
     for shell in shells:
@@ -142,7 +143,6 @@ def _finish_report(
     return SimulationReport(
         decided=decided,
         crashed=crashed,
-        undecided_alive=undecided_alive,
         **counters,
     )
 
@@ -154,7 +154,6 @@ def _drive(
     sched: Scheduler | None,
     *,
     max_steps: int,
-    require_all_fault_free_decide: bool = True,
     on_deliver: Callable[[], None] | None = None,
     checkpoint_store=None,
     core_factory=None,
@@ -231,7 +230,6 @@ def _drive(
     return _finish_report(
         shells,
         plan,
-        require_all_fault_free_decide=require_all_fault_free_decide,
         delivery_steps=source.steps,
         messages_sent=source.messages_sent,
         messages_delivered=source.messages_delivered,
@@ -247,7 +245,6 @@ def run_simulation(
     scheduler: Scheduler | None = None,
     *,
     max_steps: int | None = None,
-    require_all_fault_free_decide: bool = True,
     on_deliver: Callable[[], None] | None = None,
     link_faults=None,
     reliable_transport: bool = True,
@@ -261,8 +258,9 @@ def run_simulation(
     rounds are bounded by ``t_end``); ``max_steps`` is a defensive bound
     that raises :class:`SimulationError` instead of hanging on bugs.
 
-    With ``require_all_fault_free_decide`` (the Termination property) the
-    run fails loudly if a non-crashed process ends undecided.
+    Termination is always checked: the run raises
+    :class:`SimulationError` if a process that never crashed (and is not
+    Byzantine) ends undecided.
 
     ``on_deliver`` is invoked after every delivery (and once after the
     initial fan-out): the chaos engine's streaming invariant checker
@@ -294,7 +292,6 @@ def run_simulation(
             link_faults=link_faults,
             reliable_transport=reliable_transport,
             max_steps=max_steps,
-            require_all_fault_free_decide=require_all_fault_free_decide,
             on_deliver=on_deliver,
             checkpoint_store=checkpoint_store,
             core_factory=core_factory,
@@ -306,7 +303,6 @@ def run_simulation(
         Network(n),
         scheduler or default_scheduler(),
         max_steps=_default_max_steps(n) if max_steps is None else max_steps,
-        require_all_fault_free_decide=require_all_fault_free_decide,
         on_deliver=on_deliver,
         checkpoint_store=checkpoint_store,
         core_factory=core_factory,

@@ -741,7 +741,6 @@ def run_transport_simulation(
     reliable_transport: bool = True,
     max_steps: int | None = None,
     clock_budget: int = DEFAULT_CLOCK_BUDGET,
-    require_all_fault_free_decide: bool = True,
     on_deliver: Callable[[], None] | None = None,
     checkpoint_store=None,
     core_factory=None,
@@ -776,7 +775,6 @@ def run_transport_simulation(
         transport,
         scheduler or default_scheduler(),
         max_steps=max_steps,
-        require_all_fault_free_decide=require_all_fault_free_decide,
         on_deliver=on_deliver,
         checkpoint_store=checkpoint_store,
         core_factory=core_factory,

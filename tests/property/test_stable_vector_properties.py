@@ -73,7 +73,6 @@ def test_liveness_and_containment_under_crashes(n, seed, crash_sends, crash_last
         cores,
         fault_plan=plan,
         scheduler=RandomScheduler(seed=seed),
-        require_all_fault_free_decide=False,
     )
     results = [core.result for core in cores if core.result is not None]
     # Liveness: every fault-free process returned, with >= n - f tuples.
@@ -100,7 +99,6 @@ def test_fault_free_executions_return_everywhere(n, seed):
     run_simulation(
         cores,
         scheduler=RandomScheduler(seed=seed),
-        require_all_fault_free_decide=False,
     )
     for core in cores:
         assert core.result is not None
@@ -115,7 +113,6 @@ def test_views_contain_own_entry(seed):
     run_simulation(
         cores,
         scheduler=RandomScheduler(seed=seed),
-        require_all_fault_free_decide=False,
     )
     for core in cores:
         senders = {entry.sender for entry in core.result}

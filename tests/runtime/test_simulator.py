@@ -5,9 +5,11 @@ import pytest
 
 from repro.core.algorithm_cc import CCProcess
 from repro.core.config import CCConfig
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import OMIT, FaultPlan
+from repro.runtime.process import ProtocolCore
 from repro.runtime.scheduler import FifoFairScheduler, RandomScheduler
 from repro.runtime.simulator import SimulationError, run_simulation
+from repro.runtime.transport import run_transport_simulation
 
 
 def make_cores(n=5, d=1, f=1, eps=0.5, seed=0):
@@ -71,3 +73,61 @@ class TestRunSimulation:
         plan = FaultPlan.crash_at({4: (0, 0)})
         report = run_simulation(cores, fault_plan=plan)
         assert report.messages_delivered <= report.messages_sent
+
+
+class _HelloCore(ProtocolCore):
+    """Broadcasts one message; decides on its first delivery unless ``stuck``."""
+
+    def __init__(self, pid: int, stuck: bool = False):
+        self.pid = pid
+        self._stuck = stuck
+        self._heard = False
+
+    def on_start(self):
+        return [(None, "hello")]
+
+    def on_message(self, payload, src):
+        self._heard = True
+        return []
+
+    @property
+    def current_round(self) -> int:
+        return 0
+
+    @property
+    def done(self) -> bool:
+        return self._heard and not self._stuck
+
+
+def _hello_cores(n=4, stuck=()):
+    return [_HelloCore(pid, stuck=pid in stuck) for pid in range(n)]
+
+
+@pytest.mark.parametrize("run", [run_simulation, run_transport_simulation])
+class TestTerminationDemanded:
+    """Termination (Lemma 1) is checked in the one loop every source shares."""
+
+    def test_all_decide(self, run):
+        report = run(_hello_cores())
+        assert report.decided == [0, 1, 2, 3]
+
+    def test_undecided_process_raises_naming_it(self, run):
+        with pytest.raises(SimulationError, match=r"ended undecided: \[2\]"):
+            run(_hello_cores(stuck={2}))
+
+    def test_crash_spec_that_never_fires_is_no_exemption(self, run):
+        plan = FaultPlan.crash_at({2: (5, 0)})
+        with pytest.raises(SimulationError, match=r"ended undecided: \[2\]"):
+            run(_hello_cores(stuck={2}), fault_plan=plan)
+
+    def test_crashed_process_is_exempt(self, run):
+        plan = FaultPlan.crash_at({2: (0, 1)})
+        report = run(_hello_cores(stuck={2}), fault_plan=plan)
+        assert report.crashed == [2]
+        assert report.decided == [0, 1, 3]
+
+    def test_byzantine_process_is_exempt(self, run):
+        plan = FaultPlan.byzantine_at({2}, behaviors=(OMIT,))
+        report = run(_hello_cores(stuck={2}), fault_plan=plan)
+        assert report.crashed == []
+        assert report.decided == [0, 1, 3]
